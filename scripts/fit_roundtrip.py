@@ -12,8 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from tracecomplexity import (CompressorHandle, MapTarget, RngSeed, default_compressor,
-                             generate, load_trace, spec_from_target, spec_from_trace,
+from tracecomplexity import (MapTarget, RngSeed, default_compressor, generate,
+                             load_trace, spec_from_target, spec_from_trace,
                              spec_to_json, trace_complexity, write_trace)
 
 
@@ -28,8 +28,7 @@ def main(argv=None) -> int:
     parser.add_argument("--outdir", default="out/fit", help="output directory")
     args = parser.parse_args(argv)
 
-    comp = default_compressor() if args.compressor is None else \
-        CompressorHandle(args.compressor, 6 if args.compressor == "lzma" else 9)
+    comp = default_compressor(args.compressor)
     seed = RngSeed(args.seed)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

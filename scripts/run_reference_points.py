@@ -14,11 +14,10 @@ import sys
 import time
 from pathlib import Path
 
-from tracecomplexity import (AnalysisReport, CompressorHandle, MapPoint,
-                             REFERENCE_TARGETS, RngSeed, complexity_map_svg,
-                             default_compressor, generate, reference_presets,
-                             spec_to_json, trace_complexity, write_map_csv,
-                             write_trace)
+from tracecomplexity import (REFERENCE_TARGETS, AnalysisReport, MapPoint, RngSeed,
+                             complexity_map_svg, default_compressor, generate,
+                             reference_presets, spec_to_json, trace_complexity,
+                             write_map_csv, write_trace)
 
 
 def main(argv=None) -> int:
@@ -33,13 +32,7 @@ def main(argv=None) -> int:
     parser.add_argument("--level", type=int, default=None)
     args = parser.parse_args(argv)
 
-    comp = default_compressor()
-    if args.compressor:
-        comp = CompressorHandle(args.compressor,
-                                args.level if args.level is not None else
-                                (6 if args.compressor == "lzma" else 9))
-    elif args.level is not None:
-        comp = CompressorHandle(comp.name, args.level)
+    comp = default_compressor(args.compressor, args.level)
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -24,12 +24,9 @@ from .generator import (REFERENCE_TARGETS, GeneratorSpec, MapTarget, generate,
                         spec_from_trace, spec_to_json)
 from .reports import AnalysisReport, load_report
 from .svgplots import MapPoint, complexity_map_svg, matrix_heatmap_svg, write_map_csv
-from .trace import (CsvFormat, IdSpace, Trace, TraceEntry, canonicalize_ids,
-                    encode_canonical, load_trace, parse_trace, slice_column,
-                    write_trace)
-from .transforms import (RngSeed, default_uniform_mode, resample_uniform,
-                         temporal_shuffle, uniform_resample,
-                         uniform_resample_columnwise, uniform_resample_single)
+from .trace import (CsvFormat, IdSpace, Trace, encode_canonical, load_trace,
+                    parse_trace, slice_column, write_trace)
+from .transforms import RngSeed, default_uniform_mode, resample_uniform, temporal_shuffle
 
 __version__ = "0.1.0"
 
@@ -50,11 +47,9 @@ __all__ = [
     "SolverError",
     "Trace",
     "TraceComplexityError",
-    "TraceEntry",
     "TraceParseError",
     "TrafficMatrix",
     "binary_entropy",
-    "canonicalize_ids",
     "clear_size_cache",
     "complexity_map_svg",
     "complexity_of_slices",
@@ -83,9 +78,6 @@ __all__ = [
     "spec_to_json",
     "temporal_shuffle",
     "trace_complexity",
-    "uniform_resample",
-    "uniform_resample_columnwise",
-    "uniform_resample_single",
     "write_map_csv",
     "write_trace",
     "zipf_matrix",

@@ -8,11 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .complexity import (CompressorHandle, complexity_of_slices, default_compressor,
-                         trace_complexity)
+from .complexity import complexity_of_slices, default_compressor, trace_complexity
 from .entropy import empirical_matrix, joint_entropy, normalized_nontemporal, \
     solve_zipf_exponent
 from .errors import ConfigError, DataError, SolverError
@@ -30,17 +30,37 @@ EXIT_SOLVER = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors by default; the contract here is 1.
+    # argparse prints the usage and exits 2 on usage errors by default; the
+    # contract here is one line and exit code 1.
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    """An argparse type for integers no smaller than ``low``."""
+    # argparse names this function in its "invalid integer value" message
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+    return integer
+
+
+def _delimiter(text: str) -> str:
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"expected one character, got {text!r}")
+    return text
 
 
 def _add_format_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("trace format")
-    g.add_argument("--delimiter", default=",", help="field delimiter (default: ,)")
-    g.add_argument("--source-col", type=int, default=0, help="source ID column index")
-    g.add_argument("--dest-col", type=int, default=1, help="destination ID column index")
+    g.add_argument("--delimiter", type=_delimiter, default=",",
+                   help="field delimiter (default: ,)")
+    g.add_argument("--source-col", type=_int_at_least(0), default=0,
+                   help="source ID column index")
+    g.add_argument("--dest-col", type=_int_at_least(0), default=1,
+                   help="destination ID column index")
     g.add_argument("--skip-rows", type=int, default=0, help="header rows to skip")
 
 
@@ -57,14 +77,6 @@ def _format(args) -> CsvFormat:
                      dest_column=args.dest_col, skip_rows=args.skip_rows)
 
 
-def _compressor(args) -> CompressorHandle:
-    base = default_compressor()
-    name = args.compressor if args.compressor else base.name
-    level = args.level if args.level is not None else \
-        (base.level if name == base.name else (6 if name == "lzma" else 9))
-    return CompressorHandle(name=name, level=level, dict_size=args.dict_size)
-
-
 def _print_point_row(label: str, point, out) -> None:
     print(f"{label:<24} {point.temporal:>9.4f} {point.non_temporal:>13.4f} "
           f"{point.overall:>9.4f}", file=out)
@@ -77,7 +89,7 @@ def _emit_warnings(point, prefix: str = "") -> None:
 
 def cmd_analyze(args) -> int:
     trace = load_trace(args.trace, _format(args), name=args.name)
-    compressor = _compressor(args)
+    compressor = default_compressor(args.compressor, args.level, args.dict_size)
     seed = RngSeed(args.seed)
     mode = None if args.uniform_mode == "auto" else args.uniform_mode
     point = trace_complexity(trace, compressor, trials=args.trials, seed=seed,
@@ -110,8 +122,7 @@ def cmd_generate(args) -> int:
     if args.target is not None:
         x, y = args.target
         target = MapTarget(x=x, y=y, n_ids=args.n)
-        spec = spec_from_target(target, length=args.length, seed=seed,
-                                allow_degenerate=args.allow_degenerate)
+        spec = spec_from_target(target, seed=seed, allow_degenerate=args.allow_degenerate)
         if y > 0:
             exponent = solve_zipf_exponent(args.n, y)
             print(f"zipf exponent: {exponent:.6f}")
@@ -120,24 +131,20 @@ def cmd_generate(args) -> int:
         print(f"matrix entropy: {joint_entropy(spec.matrix):.6f} bits")
         print(f"repeat probability: {spec.repeat_p:.6f}")
     elif args.spec is not None:
-        text = Path(args.spec).read_text(encoding="utf-8")
-        spec = spec_from_json(text, base_dir=str(Path(args.spec).parent))
-        if args.length is not None and args.length != spec.length:
-            from dataclasses import replace
-            spec = replace(spec, length=args.length)
-        print(f"loaded spec {spec.name!r}: repeat probability {spec.repeat_p:.6f}, "
-              f"length {spec.length}")
+        spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
     else:
         fmt = _format(args)
         original = load_trace(args.fit, fmt)
-        compressor = _compressor(args)
+        compressor = default_compressor(args.compressor, args.level, args.dict_size)
         spec = spec_from_trace(original, trials=args.trials, compressor=compressor,
                                seed=seed)
-        if args.length is not None:
-            from dataclasses import replace
-            spec = replace(spec, length=args.length)
         print(f"fitted matrix entropy: {joint_entropy(spec.matrix):.6f} bits")
         print(f"repeat probability: {spec.repeat_p:.6f}")
+    if args.length is not None:
+        spec = replace(spec, length=args.length)
+    if args.spec is not None:
+        print(f"loaded spec {spec.name!r}: repeat probability {spec.repeat_p:.6f}, "
+              f"length {spec.length}")
 
     trace = generate(spec)
     write_trace(trace, args.output)
@@ -195,9 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", default=None, help="trace label (default: file stem)")
     _add_format_args(p)
     _add_compressor_args(p)
-    p.add_argument("--trials", type=int, default=3, help="randomization trials (default: 3)")
+    p.add_argument("--trials", type=_int_at_least(1), default=3,
+                   help="randomization trials (default: 3)")
     p.add_argument("--seed", type=int, default=0, help="base RNG seed (default: 0)")
-    p.add_argument("--uniform-mode", choices=["auto", "pair", "columnwise", "single"],
+    p.add_argument("--uniform-mode", choices=["auto", "pair", "columnwise"],
                    default="auto", help="uniform-counterpart sampling mode")
     p.add_argument("--slices", action="store_true",
                    help="also measure source and destination columns separately")
@@ -216,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="base RNG seed (default: 0)")
     p.add_argument("--allow-degenerate", action="store_true",
                    help="accept y=0 targets via a single-pair matrix")
-    p.add_argument("--trials", type=int, default=3, help="trials for --fit analysis")
+    p.add_argument("--trials", type=_int_at_least(1), default=3,
+                   help="trials for --fit analysis")
     _add_format_args(p)
     _add_compressor_args(p)
     p.add_argument("--output", required=True, help="trace CSV output path")

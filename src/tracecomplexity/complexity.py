@@ -22,7 +22,7 @@ import os
 import threading
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,11 +44,12 @@ class CompressorHandle:
     The same handle applied to the same bytes always yields the same size.
     ``lzma`` (raw LZMA2 stream) is the default; ``deflate`` (raw DEFLATE) is
     a faster, less thorough alternative. Sizes exclude any container or
-    checksum metadata.
+    checksum metadata. Build handles with ``default_compressor``, which
+    fills in and checks the settings.
     """
 
-    name: str = "lzma"
-    level: int = 6
+    name: str
+    level: int
     dict_size: int | None = None  # lzma only; None keeps the preset default
 
     def describe(self) -> dict:
@@ -68,18 +69,35 @@ def _deflate_size(data: bytes, handle: CompressorHandle) -> int:
 
 
 _BACKENDS = {"lzma": _lzma_size, "deflate": _deflate_size}
+DEFAULT_LEVELS = {"lzma": 6, "deflate": 9}
 
 
-def default_compressor() -> CompressorHandle:
-    """The pinned default backend, overridable via TRACE_COMPLEXITY_COMPRESSOR."""
-    name = os.environ.get(ENV_COMPRESSOR, "").strip()
-    if not name:
-        return CompressorHandle()
+def default_compressor(name: str | None = None, level: int | None = None,
+                       dict_size: int | None = None) -> CompressorHandle:
+    """Resolve and check compressor settings.
+
+    The backend is ``name``, else $TRACE_COMPLEXITY_COMPRESSOR, else lzma;
+    the level defaults to the backend's entry in DEFAULT_LEVELS. Settings
+    the backend would reject raise ConfigError here, before any data is
+    compressed.
+    """
+    source = ""
+    if name is None:
+        name = os.environ.get(ENV_COMPRESSOR, "").strip() or "lzma"
+        source = f" in ${ENV_COMPRESSOR}"
     if name not in _BACKENDS:
-        raise ConfigError(
-            f"unknown compressor {name!r} in ${ENV_COMPRESSOR}; "
-            f"available: {sorted(_BACKENDS)}")
-    return CompressorHandle(name=name, level=6 if name == "lzma" else 9)
+        raise ConfigError(f"unknown compressor {name!r}{source}; "
+                          f"available: {sorted(_BACKENDS)}")
+    if level is None:
+        level = DEFAULT_LEVELS[name]
+    elif not 0 <= level <= 9:
+        raise ConfigError(f"{name} level {level} outside 0-9")
+    if dict_size is not None:
+        if name != "lzma":
+            raise ConfigError(f"a dictionary size applies to lzma only, not {name}")
+        if not 4096 <= dict_size <= 1536 << 20:  # liblzma's LZMA2 encoder bounds
+            raise ConfigError(f"lzma dictionary size {dict_size} outside 4 KiB-1.5 GiB")
+    return CompressorHandle(name=name, level=level, dict_size=dict_size)
 
 
 # Compressing multi-megabyte buffers dominates runtime, and uniform
@@ -129,9 +147,12 @@ class ComplexityPoint:
     c_original: int
     c_shuffled_trials: tuple[int, ...]
     c_uniform_trials: tuple[int, ...]
-    column_count: int = 2
     uniform_mode: str = "pair"
     warnings: tuple[str, ...] = ()
+
+    @property
+    def column_count(self) -> int:
+        return 1 if self.uniform_mode == "single" else 2
 
     @property
     def c_shuffled_mean(self) -> float:
@@ -165,7 +186,6 @@ class ComplexityPoint:
             c_original=d["c_original"],
             c_shuffled_trials=tuple(d["c_shuffled_trials"]),
             c_uniform_trials=tuple(d["c_uniform_trials"]),
-            column_count=d["column_count"],
             uniform_mode=d["uniform_mode"],
             warnings=tuple(d["warnings"]),
         )
@@ -175,27 +195,18 @@ def trace_complexity(trace: Trace,
                      compressor: CompressorHandle | None = None,
                      trials: int = 3,
                      seed: RngSeed = RngSeed(0),
-                     uniform_mode: str | None = None,
-                     column_count: int = 2) -> ComplexityPoint:
+                     uniform_mode: str | None = None) -> ComplexityPoint:
     """Measure a trace's temporal / non-temporal / overall complexity.
 
     Each trial k shuffles with stream (0, k) and resamples with stream (1, k)
     derived from ``seed``, so results are reproducible and trials are
     independent. ``uniform_mode`` defaults to "pair" for traces whose columns
     share their ID set and "columnwise" for asymmetric ones; single-column
-    traces (from slice_column) must pass column_count=1, which forces the
-    duplicated single-draw resampler.
+    traces (from slice_column) must pass "single" (see resample_uniform).
     """
     if trials < 1:
         raise ValueError("need at least one randomization trial")
-    if column_count not in (1, 2):
-        raise ValueError("column_count must be 1 or 2")
-    if column_count == 1:
-        mode = "single"
-    elif uniform_mode is None:
-        mode = default_uniform_mode(trace)
-    else:
-        mode = uniform_mode
+    mode = default_uniform_mode(trace) if uniform_mode is None else uniform_mode
 
     warnings: list[str] = []
     if len(trace) < MIN_RECOMMENDED_LENGTH:
@@ -231,7 +242,6 @@ def trace_complexity(trace: Trace,
         c_original=c_original,
         c_shuffled_trials=tuple(c_shuffled),
         c_uniform_trials=tuple(c_uniform),
-        column_count=column_count,
         uniform_mode=mode,
         warnings=tuple(warnings),
     )
@@ -247,7 +257,7 @@ def complexity_of_slices(trace: Trace,
     against one column's worth of uniform randomness.
     """
     src_point = trace_complexity(slice_column(trace, "source"), compressor,
-                                 trials=trials, seed=seed, column_count=1)
+                                 trials=trials, seed=seed, uniform_mode="single")
     dst_point = trace_complexity(slice_column(trace, "destination"), compressor,
-                                 trials=trials, seed=seed, column_count=1)
+                                 trials=trials, seed=seed, uniform_mode="single")
     return src_point, dst_point

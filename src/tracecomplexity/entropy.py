@@ -75,26 +75,6 @@ class TrafficMatrix:
         return {(int(s), int(d)): float(p)
                 for s, d, p in zip(self.sources, self.dests, self.probs)}
 
-    def write_csv(self, path) -> None:
-        """Sparse triplet export: source,destination,probability per row."""
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["source", "destination", "probability"])
-            for s, d, p in zip(self.sources, self.dests, self.probs):
-                w.writerow([int(s), int(d), repr(float(p))])
-
-    @classmethod
-    def read_csv(cls, path) -> "TrafficMatrix":
-        cells: dict[tuple[int, int], float] = {}
-        with open(path, newline="") as fh:
-            rows = csv.reader(fh)
-            header = next(rows, None)
-            if header is None:
-                raise ValueError(f"empty matrix file {path}")
-            for row in rows:
-                cells[(int(row[0]), int(row[1]))] = float(row[2])
-        return cls.from_cells(cells)
-
     def write_dense_csv(self, path) -> None:
         """Dense n-by-n grid export for heatmap plotting."""
         dense = self.to_dense()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import warnings as _warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,31 +161,24 @@ def reference_presets(n_ids: int = 16,
     return presets
 
 
-def spec_to_json(spec: GeneratorSpec, matrix_path: str | None = None) -> str:
-    """Serialize a spec; the matrix goes inline unless a CSV path is given.
-
-    With ``matrix_path`` the document references that file (write it with
-    TrafficMatrix.write_csv) instead of embedding cells.
-    """
-    doc: dict = {
+def spec_to_json(spec: GeneratorSpec) -> str:
+    """Serialize a spec, matrix cells inline; spec_from_json reads it back."""
+    doc = {
         "schema": "trace-generator-spec/1",
         "name": spec.name,
         "repeat_p": spec.repeat_p,
         "length": spec.length,
         "seed": {"seed": spec.seed.seed, "stream": list(spec.seed.stream)},
-    }
-    if matrix_path is not None:
-        doc["matrix"] = {"path": str(matrix_path), "n": spec.matrix.n}
-    else:
-        doc["matrix"] = {
+        "matrix": {
             "n": spec.matrix.n,
             "cells": [[int(s), int(d), float(p)] for s, d, p in
                       zip(spec.matrix.sources, spec.matrix.dests, spec.matrix.probs)],
-        }
+        },
+    }
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def spec_from_json(text: str, base_dir: str | None = None) -> GeneratorSpec:
+def spec_from_json(text: str) -> GeneratorSpec:
     try:
         doc = json.loads(text)
     except ValueError as e:
@@ -195,23 +188,13 @@ def spec_from_json(text: str, base_dir: str | None = None) -> GeneratorSpec:
         raise DataError(f"not a generator spec document (schema {found!r})")
     try:
         mdoc = doc["matrix"]
-        if "path" in mdoc:
-            import pathlib
-
-            p = pathlib.Path(mdoc["path"])
-            if base_dir is not None and not p.is_absolute():
-                p = pathlib.Path(base_dir) / p
-            matrix = TrafficMatrix.read_csv(p)
-            if "n" in mdoc:
-                matrix = replace(matrix, n=int(mdoc["n"]))
-        else:
-            cells = {(int(s), int(d)): float(p) for s, d, p in mdoc["cells"]}
-            matrix = TrafficMatrix.from_cells(cells, n=int(mdoc["n"]))
+        cells = {(int(s), int(d)): float(p) for s, d, p in mdoc["cells"]}
+        matrix = TrafficMatrix.from_cells(cells, n=int(mdoc["n"]))
         seed_doc = doc.get("seed", {"seed": 0, "stream": []})
         seed = RngSeed(int(seed_doc["seed"]),
                        tuple(int(v) for v in seed_doc.get("stream", ())))
         return GeneratorSpec(matrix=matrix, repeat_p=float(doc["repeat_p"]),
                              length=int(doc["length"]), seed=seed,
                              name=doc.get("name", "generated"))
-    except (KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise DataError(f"malformed generator spec: {e!r}") from e

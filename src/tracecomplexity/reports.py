@@ -80,31 +80,36 @@ class AnalysisReport:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise DataError(f"malformed report JSON: {e}")
-        if doc.get("schema") != REPORT_SCHEMA:
-            raise DataError(f"not a trace-complexity report (schema {doc.get('schema')!r})")
-        comp = doc["compressor"]
-        seed = doc["seed"]
-        return cls(
-            trace_name=doc["trace"]["name"],
-            entries=doc["trace"]["entries"],
-            n_ids=doc["trace"]["n_ids"],
-            source_id_count=doc["trace"]["source_id_count"],
-            dest_id_count=doc["trace"]["dest_id_count"],
-            compressor=CompressorHandle(name=comp["name"], level=comp["level"],
-                                        dict_size=comp.get("dict_size")),
-            trials=doc["trials"],
-            seed=RngSeed(int(seed["seed"]), tuple(int(v) for v in seed.get("stream", ()))),
-            point=ComplexityPoint.from_dict(doc["point"]),
-            slices=({k: ComplexityPoint.from_dict(v) for k, v in doc["slices"].items()}
-                    if doc.get("slices") else None),
-            trace_path=doc["trace"].get("path"),
-            created_at=doc.get("created_at"),
-        )
+        try:
+            if doc.get("schema") != REPORT_SCHEMA:
+                raise DataError(
+                    f"not a trace-complexity report (schema {doc.get('schema')!r})")
+            comp = doc["compressor"]
+            seed = doc["seed"]
+            return cls(
+                trace_name=doc["trace"]["name"],
+                entries=doc["trace"]["entries"],
+                n_ids=doc["trace"]["n_ids"],
+                source_id_count=doc["trace"]["source_id_count"],
+                dest_id_count=doc["trace"]["dest_id_count"],
+                compressor=CompressorHandle(name=comp["name"], level=comp["level"],
+                                            dict_size=comp.get("dict_size")),
+                trials=doc["trials"],
+                seed=RngSeed(int(seed["seed"]),
+                             tuple(int(v) for v in seed.get("stream", ()))),
+                point=ComplexityPoint.from_dict(doc["point"]),
+                slices=({k: ComplexityPoint.from_dict(v) for k, v in doc["slices"].items()}
+                        if doc.get("slices") else None),
+                trace_path=doc["trace"].get("path"),
+                created_at=doc.get("created_at"),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise DataError(f"malformed report: {e!r}") from e
 
 
 def load_report(path) -> AnalysisReport:
     try:
         with open(path, encoding="utf-8") as fh:
             return AnalysisReport.from_json(fh.read())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read report {path}: {e}")

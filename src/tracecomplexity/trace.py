@@ -12,17 +12,12 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import IO, Iterable
 
 import numpy as np
 
-from .errors import EmptyTraceError, TraceParseError
-
-
-class TraceEntry(NamedTuple):
-    source: int
-    destination: int
+from .errors import DataError, EmptyTraceError, TraceParseError
 
 
 @dataclass(frozen=True)
@@ -64,13 +59,6 @@ class Trace:
     def __len__(self) -> int:
         return int(self.sources.size)
 
-    def __getitem__(self, i: int) -> TraceEntry:
-        return TraceEntry(int(self.sources[i]), int(self.dests[i]))
-
-    def __iter__(self) -> Iterator[TraceEntry]:
-        for s, d in zip(self.sources.tolist(), self.dests.tolist()):
-            yield TraceEntry(s, d)
-
     @classmethod
     def from_arrays(cls, sources, dests, name: str = "trace", copy: bool = True) -> "Trace":
         """Build a trace from two integer columns, deriving the ID space."""
@@ -104,20 +92,6 @@ class CsvFormat:
     source_column: int = 0
     dest_column: int = 1
     skip_rows: int = 0
-
-
-def canonicalize_ids(raw_ids: Sequence[str]) -> dict[str, int]:
-    """Map raw ID strings to dense integers 0..k-1 in first-occurrence order.
-
-    The mapping is injective and deterministic for a given input order, and
-    the dense range guarantees all canonical IDs render at the same decimal
-    width in the canonical encoding.
-    """
-    mapping: dict[str, int] = {}
-    for raw in raw_ids:
-        if raw not in mapping:
-            mapping[raw] = len(mapping)
-    return mapping
 
 
 def parse_trace(stream: IO, fmt: CsvFormat = CsvFormat(), name: str = "trace") -> Trace:
@@ -163,7 +137,10 @@ def load_trace(path, fmt: CsvFormat = CsvFormat(), name: str | None = None) -> T
 
     p = pathlib.Path(path)
     with open(p, "r", encoding="utf-8", newline="") as fh:
-        return parse_trace(fh, fmt, name=name if name is not None else p.stem)
+        try:
+            return parse_trace(fh, fmt, name=name if name is not None else p.stem)
+        except UnicodeDecodeError as e:
+            raise DataError(f"{p}: not UTF-8 text ({e.reason})") from e
 
 
 def _render_fixed_width(values: np.ndarray, width: int, out: np.ndarray) -> None:

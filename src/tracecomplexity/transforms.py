@@ -1,11 +1,10 @@
 """Randomization transforms that strip selected structure out of a trace.
 
 ``temporal_shuffle`` permutes rows, destroying ordering while conserving the
-pair histogram exactly. The ``uniform_resample`` family replaces the whole
-trace with same-length uniform noise over the observed ID sets, destroying
-both ordering and pair-frequency structure. All transforms are deterministic
-functions of (trace, seed), so randomized trials are reproducible and can run
-in parallel.
+pair histogram exactly. ``resample_uniform`` replaces the whole trace with
+same-length uniform noise over the observed ID sets, destroying both ordering
+and pair-frequency structure. All transforms are deterministic functions of
+(trace, seed), so randomized trials are reproducible and can run in parallel.
 """
 
 from __future__ import annotations
@@ -43,53 +42,7 @@ def temporal_shuffle(trace: Trace, seed: RngSeed) -> Trace:
     return trace.replaced(trace.sources[perm], trace.dests[perm])
 
 
-def uniform_resample(trace: Trace, seed: RngSeed) -> Trace:
-    """Same-length trace with both columns drawn uniformly from the ID union."""
-    rng = seed.generator()
-    ids = trace.id_space.union
-    t = len(trace)
-    src = ids[rng.integers(0, ids.size, size=t)]
-    dst = ids[rng.integers(0, ids.size, size=t)]
-    return trace.replaced(src, dst)
-
-
-def uniform_resample_columnwise(trace: Trace, seed: RngSeed) -> Trace:
-    """Uniform resample where each column only draws from its own ID set.
-
-    Appropriate when the trace samples sources and destinations from visibly
-    different populations; drawing each column from the union would overstate
-    its randomness.
-    """
-    rng = seed.generator()
-    t = len(trace)
-    s_ids = trace.id_space.source_ids
-    d_ids = trace.id_space.dest_ids
-    src = s_ids[rng.integers(0, s_ids.size, size=t)]
-    dst = d_ids[rng.integers(0, d_ids.size, size=t)]
-    return trace.replaced(src, dst)
-
-
-def uniform_resample_single(trace: Trace, seed: RngSeed) -> Trace:
-    """Uniform resample for single-column traces: one draw, duplicated.
-
-    Used on slice_column output, where both columns carry the same sequence.
-    Duplicating the uniform draw keeps the randomized counterpart in the same
-    duplicated-pair encoding, so compressed-size ratios normalize against one
-    column's worth of randomness rather than two.
-    """
-    rng = seed.generator()
-    ids = trace.id_space.union
-    col = ids[rng.integers(0, ids.size, size=len(trace))]
-    return trace.replaced(col, col.copy())
-
-
 UNIFORM_MODES = ("pair", "columnwise", "single")
-
-_RESAMPLERS = {
-    "pair": uniform_resample,
-    "columnwise": uniform_resample_columnwise,
-    "single": uniform_resample_single,
-}
 
 # Column-set asymmetry above which the columnwise resampler is the default.
 ASYMMETRY_THRESHOLD = 0.10
@@ -110,8 +63,27 @@ def default_uniform_mode(trace: Trace) -> str:
 
 
 def resample_uniform(trace: Trace, seed: RngSeed, mode: str) -> Trace:
-    try:
-        fn = _RESAMPLERS[mode]
-    except KeyError:
+    """Same-length trace of uniform draws over the observed IDs.
+
+    ``mode`` picks the ID sets: "pair" draws both columns from the ID union;
+    "columnwise" draws each column from its own set, for traces whose
+    columns sample visibly different populations (the union would overstate
+    their randomness); "single" draws one column from the union and
+    duplicates it, for slice_column output, so the counterpart stays in the
+    duplicated-pair encoding and normalizes against one column's worth of
+    randomness rather than two.
+    """
+    if mode not in UNIFORM_MODES:
         raise ValueError(f"unknown uniform mode {mode!r}, expected one of {UNIFORM_MODES}")
-    return fn(trace, seed)
+    space = trace.id_space
+    if mode == "columnwise":
+        src_ids, dst_ids = space.source_ids, space.dest_ids
+    else:
+        src_ids = dst_ids = space.union
+    rng = seed.generator()
+    t = len(trace)
+    src = src_ids[rng.integers(0, src_ids.size, size=t)]
+    if mode == "single":
+        return trace.replaced(src, src.copy())
+    dst = dst_ids[rng.integers(0, dst_ids.size, size=t)]
+    return trace.replaced(src, dst)

@@ -17,9 +17,9 @@ from tracecomplexity import (AnalysisReport, CompressorHandle, GeneratorSpec, Ma
                              empirical_matrix, encode_canonical, generate,
                              joint_entropy, model_temporal_ratio, normalized_nontemporal,
                              reference_presets, repeat_chain_entropy_rate,
-                             solve_repeat_probability, solve_zipf_exponent,
-                             spec_from_trace, temporal_shuffle,
-                             trace_complexity, uniform_resample, zipf_matrix,
+                             resample_uniform, solve_repeat_probability,
+                             solve_zipf_exponent, spec_from_trace, temporal_shuffle,
+                             trace_complexity, zipf_matrix,
                              REFERENCE_TARGETS)
 
 LENGTH = 1_000_000
@@ -144,7 +144,7 @@ def test_criterion_5_transform_invariants():
 
     big = generate(GeneratorSpec(TrafficMatrix.uniform(N_IDS), 0.0, LENGTH,
                                  BASE.derive(301), name="chi-base"))
-    resampled = uniform_resample(big, RngSeed(9))
+    resampled = resample_uniform(big, RngSeed(9), "pair")
     crit = stats.chi2.ppf(1 - 0.001, N_IDS - 1)
     chi_src = stats.chisquare(np.bincount(resampled.sources, minlength=N_IDS)).statistic
     chi_dst = stats.chisquare(np.bincount(resampled.dests, minlength=N_IDS)).statistic

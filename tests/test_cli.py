@@ -53,6 +53,12 @@ class TestGenerate:
         fitted = spec_from_json((tmp_path / "fit.csv.spec.json").read_text())
         assert 0.6 < fitted.repeat_p <= 1.0
 
+    def test_target_default_length(self, tmp_path):
+        out = tmp_path / "default.csv"
+        assert main(["generate", "--target", "0.4", "0.4", "--output", str(out)]) == 0
+        spec = spec_from_json((tmp_path / "default.csv.spec.json").read_text())
+        assert spec.length == 1_000_000
+
     def test_degenerate_target_needs_flag(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
         assert main(["generate", "--target", "0.5", "0", "--output", str(out)]) == 3
@@ -133,6 +139,58 @@ class TestAnalyze:
     def test_bad_env_compressor_exit_three(self, trace_file, monkeypatch, capsys):
         monkeypatch.setenv("TRACE_COMPLEXITY_COMPRESSOR", "paq")
         assert main(["analyze", str(trace_file), "--trials", "1"]) == 3
+
+
+# Bad inputs, each of which ends in an exit code and one stderr line. The
+# paths name files that the bad_inputs fixture writes.
+BAD_INPUTS = [
+    (["analyze", "{tiny}", "--trials", "0"], 1),
+    (["generate", "--fit", "{tiny}", "--trials", "0", "--output", "{out}"], 1),
+    (["analyze", "{tiny}", "--source-col", "-5"], 1),
+    (["analyze", "{tiny}", "--dest-col", "-3"], 1),
+    (["analyze", "{tiny}", "--delimiter", ""], 1),
+    (["analyze", "{tiny}", "--uniform-mode", "single"], 1),
+    (["analyze", "{latin1}"], 2),
+    (["map", "{partial_report}", "--output", "{out}"], 2),
+    (["map", "{list_slices_report}", "--output", "{out}"], 2),
+    (["map", "{list_report}", "--output", "{out}"], 2),
+    (["generate", "--spec", "{spec_by_path}", "--output", "{out}"], 2),
+    (["analyze", "{tiny}", "--level", "99"], 3),
+    (["analyze", "{tiny}", "--compressor", "deflate", "--level", "99"], 3),
+    (["analyze", "{tiny}", "--dict-size", "1"], 3),
+    (["analyze", "{tiny}", "--compressor", "deflate", "--dict-size", "65536"], 3),
+]
+
+
+@pytest.fixture
+def bad_inputs(tmp_path):
+    files = {name: tmp_path / name for name in
+             ("tiny", "latin1", "partial_report", "list_slices_report", "list_report",
+              "spec_by_path", "out")}
+    files["tiny"].write_text("a,b\nb,a\nc,d\n")
+    files["latin1"].write_bytes("caf\xe9,b\nb,a\n".encode("latin-1"))
+    files["partial_report"].write_text('{"schema": "trace-complexity-report/1"}')
+    files["list_slices_report"].write_text(json.dumps(
+        {"schema": "trace-complexity-report/1", "slices": [1]}))
+    files["list_report"].write_text("[]")
+    (tmp_path / "m.csv").write_text("source,destination,probability\n0,1,1.0\n")
+    files["spec_by_path"].write_text(json.dumps(
+        {"schema": "trace-generator-spec/1", "repeat_p": 0.5, "length": 10,
+         "matrix": {"path": "m.csv", "n": 2}}))
+    return {name: str(path) for name, path in files.items()}
+
+
+@pytest.mark.parametrize("argv, code", BAD_INPUTS,
+                         ids=[" ".join(argv) for argv, _ in BAD_INPUTS])
+def test_bad_input_exit_code(bad_inputs, capsys, argv, code):
+    assert main([arg.format(**bad_inputs) for arg in argv]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+
+
+def test_non_utf8_trace_names_file(bad_inputs, capsys):
+    assert main(["analyze", bad_inputs["latin1"]]) == 2
+    assert bad_inputs["latin1"] in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

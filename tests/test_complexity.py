@@ -76,12 +76,43 @@ class TestDefaultCompressor:
         with pytest.raises(ConfigError):
             default_compressor()
 
+    @pytest.mark.parametrize("env, kwargs, expected", [
+        ("deflate", {}, ("deflate", 9, None)),
+        ("deflate", {"level": 1}, ("deflate", 1, None)),
+        ("deflate", {"name": "lzma"}, ("lzma", 6, None)),
+        ("", {"name": "deflate"}, ("deflate", 9, None)),
+        ("", {"level": 0}, ("lzma", 0, None)),
+        ("", {"level": 9}, ("lzma", 9, None)),
+        ("", {"dict_size": 4096}, ("lzma", 6, 4096)),
+    ])
+    def test_resolution(self, monkeypatch, env, kwargs, expected):
+        # the argument beats the environment, which beats lzma; the level
+        # defaults per backend
+        monkeypatch.setenv("TRACE_COMPLEXITY_COMPRESSOR", env)
+        handle = default_compressor(**kwargs)
+        assert (handle.name, handle.level, handle.dict_size) == expected
+        assert compressed_size(b"abcabcabd" * 100, handle) > 0
+
+    @pytest.mark.parametrize("kwargs", [
+        {"name": "zstd"},
+        {"level": 10},
+        {"level": -1},
+        {"name": "deflate", "level": 99},
+        {"dict_size": 4095},
+        {"dict_size": (1536 << 20) + 1},
+        {"name": "deflate", "dict_size": 1 << 16},
+    ])
+    def test_invalid_settings_rejected(self, monkeypatch, kwargs):
+        monkeypatch.delenv("TRACE_COMPLEXITY_COMPRESSOR", raising=False)
+        with pytest.raises(ConfigError):
+            default_compressor(**kwargs)
+
 
 class TestComplexityPoint:
     def test_dict_round_trip(self):
         pt = ComplexityPoint(temporal=0.5, non_temporal=0.4, overall=0.2,
                              c_original=100, c_shuffled_trials=(200, 201),
-                             c_uniform_trials=(500, 499), column_count=2,
+                             c_uniform_trials=(500, 499),
                              uniform_mode="pair", warnings=("w",))
         assert ComplexityPoint.from_dict(pt.as_dict()) == pt
 

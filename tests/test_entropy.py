@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from tracecomplexity import (GeneratorSpec, RngSeed, SolverError, Trace, TrafficMatrix,
                              binary_entropy, empirical_matrix, generate, joint_entropy,
                              model_temporal_ratio, normalized_nontemporal,
-                             repeat_chain_entropy_rate, solve_repeat_probability,
-                             solve_zipf_exponent, temporal_shuffle, uniform_resample,
-                             zipf_matrix)
+                             repeat_chain_entropy_rate, resample_uniform,
+                             solve_repeat_probability, solve_zipf_exponent,
+                             temporal_shuffle, zipf_matrix)
 
 # Normalized joint entropy of the 256-cell Zipf matrix at pmf exponent 5/3,
 # by direct summation (the matrix whose normalized entropy is ~0.4095).
@@ -65,14 +65,6 @@ class TestTrafficMatrix:
         assert dense.shape == (4, 4)
         assert dense.sum() == pytest.approx(1.0, abs=1e-12)
         assert dense[0, 0] == max(m.probs)
-
-    def test_csv_round_trip(self, tmp_path):
-        m = zipf_matrix(5, 0.8)
-        path = tmp_path / "m.csv"
-        m.write_csv(path)
-        back = TrafficMatrix.read_csv(path)
-        assert back.n == m.n
-        assert np.allclose(back.to_dense(), m.to_dense(), atol=1e-15)
 
 
 class TestNormalized:
@@ -212,7 +204,7 @@ class TestEmpiricalMatrix:
     def test_uniform_resample_frequencies(self):
         tr = Trace.from_arrays(np.arange(4).repeat(250_000),
                                np.arange(4).repeat(250_000))
-        u = uniform_resample(tr, RngSeed(21))
+        u = resample_uniform(tr, RngSeed(21), "pair")
         m = empirical_matrix(u)
         assert m.support_size == 16
         assert np.all(np.abs(m.probs - 0.0625) < 0.003)

@@ -176,15 +176,6 @@ class TestSpecJson:
         assert back.matrix.cell_dict() == spec.matrix.cell_dict()
         assert encode_canonical(generate(back)) == encode_canonical(generate(spec))
 
-    def test_matrix_by_reference(self, tmp_path):
-        spec = spec_from_target(MapTarget(0.9, 0.5, 6), length=50, seed=RngSeed(1))
-        spec.matrix.write_csv(tmp_path / "m.csv")
-        doc = spec_to_json(spec, matrix_path="m.csv")
-        assert '"cells"' not in doc
-        back = spec_from_json(doc, base_dir=str(tmp_path))
-        assert back.matrix.n == spec.matrix.n
-        assert np.allclose(back.matrix.to_dense(), spec.matrix.to_dense(), atol=1e-15)
-
     def test_malformed_document(self):
         with pytest.raises(DataError):
             spec_from_json("{not json")

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tracecomplexity import (CsvFormat, EmptyTraceError, Trace, TraceEntry,
-                             TraceParseError, canonicalize_ids, empirical_matrix,
-                             encode_canonical, joint_entropy, load_trace, parse_trace,
-                             slice_column, write_trace)
+from tracecomplexity import (CsvFormat, EmptyTraceError, Trace, TraceParseError,
+                             empirical_matrix, encode_canonical, joint_entropy,
+                             load_trace, parse_trace, slice_column, write_trace)
 
 
 def parse_str(text: str, fmt: CsvFormat = CsvFormat(), name: str = "t") -> Trace:
@@ -39,7 +38,7 @@ class TestParse:
         tr = parse_str("x,x\n")
         assert len(tr) == 1
         assert tr.id_space.n == 1
-        assert tr[0] == TraceEntry(0, 0)
+        assert (tr.sources.tolist(), tr.dests.tolist()) == ([0], [0])
 
     def test_skip_rows_and_delimiter(self):
         tr = parse_str("src;dst\n7;8\n8;7\n",
@@ -79,13 +78,6 @@ class TestParse:
 
 
 class TestCanonicalIds:
-    def test_first_occurrence_order(self):
-        assert canonicalize_ids(["10.0.0.1", "10.0.0.2", "10.0.0.1"]) == \
-            {"10.0.0.1": 0, "10.0.0.2": 1}
-
-    def test_empty(self):
-        assert canonicalize_ids([]) == {}
-
     def test_many_ids_share_encoded_width(self):
         rows = "".join(f"h{i},h{i}\n" for i in range(300))
         tr = parse_str(rows)
@@ -150,10 +142,6 @@ class TestTraceModel:
     def test_empty_rejected(self):
         with pytest.raises(EmptyTraceError):
             Trace.from_pairs([])
-
-    def test_iteration(self, tiny_trace):
-        assert list(tiny_trace) == [TraceEntry(0, 1), TraceEntry(1, 0),
-                                    TraceEntry(2, 3), TraceEntry(3, 2)]
 
     def test_id_space(self):
         tr = Trace.from_arrays(np.array([1, 1]), np.array([2, 3]))

@@ -1,4 +1,4 @@
-"""Randomization transforms: shuffle invariants, uniform resamplers, seeding."""
+"""Randomization transforms: shuffle invariants, uniform resampling modes, seeding."""
 
 from __future__ import annotations
 
@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tracecomplexity import (RngSeed, Trace, default_uniform_mode, resample_uniform,
-                             temporal_shuffle, uniform_resample,
-                             uniform_resample_columnwise, uniform_resample_single)
+                             temporal_shuffle)
+
+MODES = ("pair", "columnwise", "single")
 
 
 def pair_histogram(trace: Trace):
@@ -67,7 +68,7 @@ class TestTemporalShuffle:
     def test_length_one_is_identity(self):
         tr = Trace.from_pairs([(4, 2)])
         sh = temporal_shuffle(tr, RngSeed(9))
-        assert list(sh) == list(tr)
+        assert (sh.sources.tolist(), sh.dests.tolist()) == ([4], [2])
 
     def test_keeps_id_space(self, uniform_trace):
         sh = temporal_shuffle(uniform_trace, RngSeed(4))
@@ -82,57 +83,66 @@ class TestTemporalShuffle:
 
 
 class TestUniformResample:
+    """Mode "pair": both columns drawn from the ID union."""
+
     def test_marginals_on_two_ids(self):
         tr = Trace.from_arrays(np.zeros(1_000_000, dtype=np.int64),
                                np.ones(1_000_000, dtype=np.int64))
-        u = uniform_resample(tr, RngSeed(6))
+        u = resample_uniform(tr, RngSeed(6), "pair")
         codes = u.sources * 2 + u.dests
         freqs = np.bincount(codes, minlength=4) / len(u)
         assert np.all(np.abs(freqs - 0.25) < 0.002)
 
     def test_ids_stay_in_union(self, uniform_trace):
-        u = uniform_resample(uniform_trace, RngSeed(7))
-        assert set(np.unique(u.sources)) <= set(uniform_trace.id_space.union.tolist())
-        assert set(np.unique(u.dests)) <= set(uniform_trace.id_space.union.tolist())
+        union = set(uniform_trace.id_space.union.tolist())
+        for mode in MODES:
+            u = resample_uniform(uniform_trace, RngSeed(7), mode)
+            assert set(np.unique(u.sources)) <= union
+            assert set(np.unique(u.dests)) <= union
 
     def test_deterministic(self, uniform_trace):
-        a = uniform_resample(uniform_trace, RngSeed(8))
-        b = uniform_resample(uniform_trace, RngSeed(8))
-        assert np.array_equal(a.sources, b.sources) and np.array_equal(a.dests, b.dests)
+        for mode in MODES:
+            a = resample_uniform(uniform_trace, RngSeed(8), mode)
+            b = resample_uniform(uniform_trace, RngSeed(8), mode)
+            assert np.array_equal(a.sources, b.sources) and np.array_equal(a.dests, b.dests)
 
     def test_union_includes_both_columns(self):
         # sources {0}, dests {1}: resampled columns may use either ID
         tr = Trace.from_arrays(np.zeros(200_000, dtype=np.int64),
                                np.ones(200_000, dtype=np.int64))
-        u = uniform_resample(tr, RngSeed(3))
+        u = resample_uniform(tr, RngSeed(3), "pair")
         assert set(np.unique(u.sources).tolist()) == {0, 1}
 
 
 class TestColumnwiseResample:
+    """Mode "columnwise": each column drawn from its own ID set."""
+
     def test_constant_source_stays_constant(self):
         tr = Trace.from_arrays(np.ones(1_000_000, dtype=np.int64),
                                np.random.default_rng(0).integers(2, 4, size=1_000_000))
-        u = uniform_resample_columnwise(tr, RngSeed(5))
+        u = resample_uniform(tr, RngSeed(5), "columnwise")
         assert np.all(u.sources == 1)
         dest_freq = np.bincount(u.dests, minlength=4)[2:] / len(u)
         assert np.all(np.abs(dest_freq - 0.5) < 0.005)
 
     def test_columns_confined_to_own_sets(self):
         tr = Trace.from_arrays(np.array([0, 1] * 500), np.array([2, 3] * 500))
-        u = uniform_resample_columnwise(tr, RngSeed(1))
+        u = resample_uniform(tr, RngSeed(1), "columnwise")
         assert set(np.unique(u.sources).tolist()) <= {0, 1}
         assert set(np.unique(u.dests).tolist()) <= {2, 3}
 
 
 class TestSingleResample:
+    """Mode "single": one draw from the ID union, duplicated into both columns."""
+
     def test_columns_identical(self, uniform_trace):
-        u = uniform_resample_single(uniform_trace, RngSeed(2))
+        u = resample_uniform(uniform_trace, RngSeed(2), "single")
         assert np.array_equal(u.sources, u.dests)
 
     def test_uniform_marginal(self):
         tr = Trace.from_arrays(np.arange(16).repeat(50_000),
                                np.arange(16).repeat(50_000))
-        u = uniform_resample_single(tr, RngSeed(4))
+        u = resample_uniform(tr, RngSeed(4), "single")
         freqs = np.bincount(u.sources, minlength=16) / len(u)
         assert np.all(np.abs(freqs - 1 / 16) < 0.003)
 
@@ -155,7 +165,7 @@ class TestModeSelection:
         assert default_uniform_mode(tr2) == "columnwise"
 
     def test_dispatcher_modes_and_errors(self, uniform_trace):
-        for mode in ("pair", "columnwise", "single"):
+        for mode in MODES:
             out = resample_uniform(uniform_trace, RngSeed(0), mode)
             assert len(out) == len(uniform_trace)
         with pytest.raises(ValueError):
