@@ -131,7 +131,10 @@ def cmd_generate(args) -> int:
         print(f"matrix entropy: {joint_entropy(spec.matrix):.6f} bits")
         print(f"repeat probability: {spec.repeat_p:.6f}")
     elif args.spec is not None:
-        spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
+        try:
+            spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as e:
+            raise DataError(f"{args.spec}: not UTF-8 text ({e.reason})") from e
     else:
         fmt = _format(args)
         original = load_trace(args.fit, fmt)

@@ -10,7 +10,6 @@ is what the compression stage consumes.
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass
 from typing import IO, Iterable
@@ -93,42 +92,49 @@ class CsvFormat:
     dest_column: int = 1
     skip_rows: int = 0
 
+    def __post_init__(self):
+        if min(self.source_column, self.dest_column) < 0:
+            raise ValueError("column indices must be non-negative")
+
 
 def parse_trace(stream: IO, fmt: CsvFormat = CsvFormat(), name: str = "trace") -> Trace:
     """Parse a delimited text stream into a Trace.
 
     Only the two configured ID columns are kept; any other fields (sizes,
-    ports, timestamps) are discarded. Raises TraceParseError with the
-    offending 1-based line number on malformed rows, EmptyTraceError if no
-    data rows remain.
+    ports, timestamps) are discarded. Records end in ``\\n``, ``\\r\\n``
+    or ``\\r`` and may quote fields as csv.reader does. Raises
+    TraceParseError on malformed rows, with the 1-based number of the
+    offending record (a quoted field spanning lines makes records and lines
+    differ), and EmptyTraceError if no data rows remain.
     """
+    # Imported on first use, so commands that read no trace do not load it.
+    from .tokenizer import check_rows, records, relabel
+
     if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(stream, "mode", ""):
         stream = io.TextIOWrapper(stream, encoding="utf-8")
-    reader = csv.reader(stream, delimiter=fmt.delimiter)
     needed = max(fmt.source_column, fmt.dest_column) + 1
+    skip = max(fmt.skip_rows, 0)
     mapping: dict[str, int] = {}
-    sources: list[int] = []
-    dests: list[int] = []
-    for lineno, row in enumerate(reader, start=1):
-        if lineno <= fmt.skip_rows:
-            continue
-        if len(row) < needed:
-            raise TraceParseError(
-                f"expected at least {needed} columns, got {len(row)}", line=lineno)
-        s_raw = row[fmt.source_column].strip()
-        d_raw = row[fmt.dest_column].strip()
-        if not s_raw or not d_raw:
-            raise TraceParseError("empty ID field", line=lineno)
-        for raw in (s_raw, d_raw):
-            if raw not in mapping:
-                mapping[raw] = len(mapping)
-        sources.append(mapping[s_raw])
-        dests.append(mapping[d_raw])
-    if not sources:
+    batches = []
+    line = 1  # number of the next record
+    for run in records(stream, fmt.delimiter, (fmt.source_column, fmt.dest_column)):
+        drop = min(skip, run.widths.size)
+        skip -= drop
+        widths, codes = run.widths[drop:], run.codes[2 * drop:]
+        check_rows(widths, codes, run.ids, needed, line + drop)
+        line += run.widths.size
+        if run.error is not None:
+            raise TraceParseError(run.error, line=line)
+        if widths.size:
+            batches.append(relabel(codes, run.ids, mapping))
+    if not batches:
         raise EmptyTraceError("no entries parsed from input")
-    return Trace.from_arrays(np.array(sources, dtype=np.int64),
-                             np.array(dests, dtype=np.int64),
-                             name=name, copy=False)
+    sources = np.concatenate([b[0::2] for b in batches], dtype=np.int64)
+    dests = np.concatenate([b[1::2] for b in batches], dtype=np.int64)
+    # IDs are dense from 0, so counting finds each column's IDs
+    space = IdSpace(source_ids=np.flatnonzero(np.bincount(sources)),
+                    dest_ids=np.flatnonzero(np.bincount(dests)))
+    return Trace(sources, dests, space, name=name)
 
 
 def load_trace(path, fmt: CsvFormat = CsvFormat(), name: str | None = None) -> Trace:

@@ -151,6 +151,10 @@ BAD_INPUTS = [
     (["analyze", "{tiny}", "--delimiter", ""], 1),
     (["analyze", "{tiny}", "--uniform-mode", "single"], 1),
     (["analyze", "{latin1}"], 2),
+    (["generate", "--spec", "{latin1}", "--output", "{out}"], 2),
+    (["analyze", "{huge_id}"], 2),
+    (["matrix", "{huge_id}", "--output", "{out}"], 2),
+    (["generate", "--fit", "{huge_id}", "--output", "{out}"], 2),
     (["map", "{partial_report}", "--output", "{out}"], 2),
     (["map", "{list_slices_report}", "--output", "{out}"], 2),
     (["map", "{list_report}", "--output", "{out}"], 2),
@@ -165,9 +169,10 @@ BAD_INPUTS = [
 @pytest.fixture
 def bad_inputs(tmp_path):
     files = {name: tmp_path / name for name in
-             ("tiny", "latin1", "partial_report", "list_slices_report", "list_report",
-              "spec_by_path", "out")}
+             ("tiny", "latin1", "huge_id", "partial_report", "list_slices_report",
+              "list_report", "spec_by_path", "out")}
     files["tiny"].write_text("a,b\nb,a\nc,d\n")
+    files["huge_id"].write_text("a,b\n" + "c" * 200_000 + ",d\n")
     files["latin1"].write_bytes("caf\xe9,b\nb,a\n".encode("latin-1"))
     files["partial_report"].write_text('{"schema": "trace-complexity-report/1"}')
     files["list_slices_report"].write_text(json.dumps(
@@ -191,6 +196,16 @@ def test_bad_input_exit_code(bad_inputs, capsys, argv, code):
 def test_non_utf8_trace_names_file(bad_inputs, capsys):
     assert main(["analyze", bad_inputs["latin1"]]) == 2
     assert bad_inputs["latin1"] in capsys.readouterr().err
+
+
+def test_non_utf8_spec_names_file(bad_inputs, capsys):
+    assert main(["generate", "--spec", bad_inputs["latin1"], "--output", bad_inputs["out"]]) == 2
+    assert bad_inputs["latin1"] in capsys.readouterr().err
+
+
+def test_oversized_field_names_line(bad_inputs, capsys):
+    assert main(["analyze", bad_inputs["huge_id"]]) == 2
+    assert "line 2: field larger than field limit" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")

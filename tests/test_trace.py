@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracecomplexity import (CsvFormat, EmptyTraceError, Trace, TraceParseError,
                              empirical_matrix, encode_canonical, joint_entropy,
                              load_trace, parse_trace, slice_column, write_trace)
+from tracecomplexity import tokenizer
 
 
 def parse_str(text: str, fmt: CsvFormat = CsvFormat(), name: str = "t") -> Trace:
@@ -75,6 +78,168 @@ class TestParse:
     def test_whitespace_stripped(self):
         tr = parse_str(" a , b \n")
         assert len(tr) == 1
+
+    def test_every_ascii_whitespace_stripped(self):
+        tr = parse_str("".join(f"{c}a{c},b\n" for c in " \t\x0b\x0c\x1c\x1d\x1e\x1f"))
+        assert tr.id_space.n == 2
+
+    def test_trailing_nul_is_part_of_the_id(self):
+        tr = parse_str("4,4\x00\n4\x00\x00,4\n")
+        assert (tr.sources.tolist(), tr.dests.tolist()) == ([0, 2], [1, 0])
+
+
+def oracle_parse(stream, fmt: CsvFormat = CsvFormat(), name: str = "t") -> Trace:
+    """The per-row csv loop that parse_trace replaced, kept as its reference.
+
+    It differs from that loop in one deliberate way: an error of the csv
+    module becomes a TraceParseError at the record being read.
+    """
+    if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)):
+        stream = io.TextIOWrapper(stream, encoding="utf-8")
+    reader = csv.reader(stream, delimiter=fmt.delimiter)
+    needed = max(fmt.source_column, fmt.dest_column) + 1
+    mapping: dict[str, int] = {}
+    sources: list[int] = []
+    dests: list[int] = []
+    lineno = 0
+    try:
+        for lineno, row in enumerate(reader, start=1):
+            if lineno <= fmt.skip_rows:
+                continue
+            if len(row) < needed:
+                raise TraceParseError(
+                    f"expected at least {needed} columns, got {len(row)}", line=lineno)
+            s_raw = row[fmt.source_column].strip()
+            d_raw = row[fmt.dest_column].strip()
+            if not s_raw or not d_raw:
+                raise TraceParseError("empty ID field", line=lineno)
+            for raw in (s_raw, d_raw):
+                if raw not in mapping:
+                    mapping[raw] = len(mapping)
+            sources.append(mapping[s_raw])
+            dests.append(mapping[d_raw])
+    except csv.Error as e:
+        raise TraceParseError(str(e), line=lineno + 1) from e
+    if not sources:
+        raise EmptyTraceError("no entries parsed from input")
+    return Trace.from_arrays(sources, dests, name=name)
+
+
+def outcome(parse, data: str | bytes, fmt: CsvFormat):
+    """What ``parse`` makes of ``data``: the trace's columns and ID space, or
+    the exception's type, message and line. Text is read as csv wants it,
+    with newline=""; bytes through a binary stream."""
+    stream = io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data, newline="")
+    try:
+        tr = parse(stream, fmt)
+    except Exception as e:  # compared, not handled
+        return type(e), str(e), getattr(e, "line", None)
+    return (tr.sources.tolist(), tr.dests.tolist(),
+            tr.id_space.source_ids.tolist(), tr.id_space.dest_ids.tolist())
+
+
+DELIMITERS = [",", ";", "\t", "|", "\u00a7"]
+RECORD_ENDS = ["\n", "\r\n", "\r"]
+# IDs that differ by a NUL or hold a quote, a delimiter or non-ASCII text;
+# the whitespace str.strip() removes (ASCII, non-breaking and em space).
+IDS = ["4", "4\x00", "\x004", "a", "b7", "\u00e9", "x\u00a7y", 'q"', "a,b", "c;d|e"]
+SPACES = ["", "", " ", "\t", "\x0b", "\x1c", "\xa0", "\u2003"]
+
+
+@st.composite
+def delimited_inputs(draw):
+    """Delimited text over a few IDs, with every feature csv.reader handles."""
+    delimiter = draw(st.sampled_from(DELIMITERS))
+    spaced_id = st.tuples(st.sampled_from(SPACES), st.sampled_from(IDS),
+                          st.sampled_from(SPACES)).map("".join)
+    field = st.one_of(spaced_id, st.sampled_from(SPACES)) if draw(st.booleans()) else spaced_id
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        fields = draw(st.lists(field, min_size=draw(st.sampled_from([0, 1, 2, 2, 3])),
+                               max_size=4))
+        if fields and draw(st.booleans()):  # quote one field, with what needs quoting
+            k = draw(st.integers(0, len(fields) - 1))
+            inner = fields[k] + draw(st.sampled_from(["", delimiter, "\n", "\r\n", '"']))
+            fields[k] = '"' + inner.replace('"', '""') + '"'
+        lines.append(delimiter.join(fields) + draw(st.sampled_from(RECORD_ENDS)))
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final record end
+    fmt = CsvFormat(delimiter=delimiter, source_column=draw(st.integers(0, 2)),
+                    dest_column=draw(st.integers(0, 2)), skip_rows=draw(st.integers(0, 2)))
+    data = draw(st.sampled_from([text, text.encode("utf-8")]))
+    return data, fmt
+
+
+@st.composite
+def plain_inputs(draw):
+    """Rows the byte tokenizer reads itself: ASCII, no quotes, no lone \\r."""
+    ascii_space = st.sampled_from(["", "", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                   "\x1f"])
+    ids = st.tuples(ascii_space, st.sampled_from(["4", "4\x00", "\x004", "b7"]),
+                    ascii_space).map("".join)
+    if draw(st.booleans()):
+        ids = st.one_of(ids, st.just(""))
+    rows = draw(st.lists(st.lists(ids, min_size=1, max_size=4), max_size=30))
+    ends = st.sampled_from(["\n", "\r\n"])
+    text = "".join(",".join(r) + draw(ends) for r in rows)
+    fmt = CsvFormat(source_column=draw(st.integers(0, 2)), dest_column=draw(st.integers(0, 2)),
+                    skip_rows=draw(st.integers(0, 2)))
+    return text, fmt
+
+
+class TestAgainstCsvLoop:
+    """parse_trace must read every input as the per-row csv loop did."""
+
+    @settings(max_examples=300)
+    @given(delimited_inputs(), st.integers(1, 40), st.integers(1, 5))
+    def test_same_result_or_error(self, case, chunk, batch):
+        data, fmt = case
+        with mock.patch.object(tokenizer, "_CHUNK", chunk), \
+                mock.patch.object(tokenizer, "_CSV_BATCH", batch):
+            assert outcome(parse_trace, data, fmt) == outcome(oracle_parse, data, fmt)
+
+    @settings(max_examples=200)
+    @given(plain_inputs(), st.integers(1, 40))
+    def test_byte_tokenizer_same_result_or_error(self, case, chunk):
+        text, fmt = case
+        with mock.patch.object(tokenizer, "_CHUNK", chunk):
+            assert outcome(parse_trace, text, fmt) == outcome(oracle_parse, text, fmt)
+
+    def test_non_utf8_binary_stream(self):
+        data = "a,b\ncaf\u00e9,b\n".encode("latin-1")
+        got, want = outcome(parse_trace, data, CsvFormat()), outcome(oracle_parse, data, CsvFormat())
+        assert got == want and got[0] is UnicodeDecodeError
+
+    @pytest.mark.parametrize("before_edge", [1, 5, 10], ids=["in-id", "at-delimiter", "in-crlf"])
+    def test_chunk_boundaries(self, before_edge):
+        """Over two reads of input: a record straddles the end of the first
+        read (within an ID, at its delimiter, between its \\r and \\n) and IDs
+        are first seen in later reads."""
+        chunk = tokenizer._CHUNK
+        rows = "".join(f"h{i % 50},h{7 * i % 50}\r\n" for i in range(chunk // 12))
+        first = "p" * (chunk - before_edge - len(rows) - 5) + ",h0\r\n"
+        straddle = "new0,new1\r\n"
+        tail = "".join(f"h{i % 53},late{i % 3}\n" for i in range(chunk // 8))
+        text = first + rows + straddle + tail + "late3,new0"
+        assert len(first + rows) == chunk - before_edge and len(text) > 2 * chunk
+        got = outcome(parse_trace, text, CsvFormat())
+        assert got == outcome(oracle_parse, text, CsvFormat())
+        assert got[0][-1] == max(got[2] + got[3])  # late3, new in the last read
+
+    @pytest.mark.parametrize("prefix", ["", '"q",r\n', "\u00e9,r\n"],
+                             ids=["bytes", "csv-quote", "csv-non-ascii"])
+    def test_field_limit(self, prefix):
+        limit = csv.field_size_limit()
+        fits = prefix + "a," + "b" * limit + "\n"
+        assert len(parse_str(fits)) == 1 + bool(prefix)
+        line = 3 + bool(prefix)
+        with pytest.raises(TraceParseError, match=f"line {line}: field larger than field limit"):
+            parse_str(fits + "c,d\n" + "e" * (limit + 1) + ",f\n")
+
+    def test_negative_column_rejected(self):
+        with pytest.raises(ValueError):
+            CsvFormat(source_column=-1)
 
 
 class TestCanonicalIds:
