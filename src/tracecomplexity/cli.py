@@ -13,8 +13,7 @@ from pathlib import Path
 
 from . import __version__
 from .complexity import complexity_of_slices, default_compressor, trace_complexity
-from .entropy import empirical_matrix, joint_entropy, normalized_nontemporal, \
-    solve_zipf_exponent
+from .entropy import empirical_matrix, joint_entropy, normalized_nontemporal
 from .errors import ConfigError, DataError, SolverError
 from .generator import (MapTarget, generate, spec_from_json, spec_from_target,
                         spec_from_trace, spec_to_json)
@@ -123,9 +122,8 @@ def cmd_generate(args) -> int:
         x, y = args.target
         target = MapTarget(x=x, y=y, n_ids=args.n)
         spec = spec_from_target(target, seed=seed, allow_degenerate=args.allow_degenerate)
-        if y > 0:
-            exponent = solve_zipf_exponent(args.n, y)
-            print(f"zipf exponent: {exponent:.6f}")
+        if spec.zipf_exponent is not None:
+            print(f"zipf exponent: {spec.zipf_exponent:.6f}")
         else:
             print("degenerate single-pair matrix")
         print(f"matrix entropy: {joint_entropy(spec.matrix):.6f} bits")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,10 @@ class GeneratorSpec:
     length: int
     seed: RngSeed = RngSeed(0)
     name: str = "generated"
+    #: The pmf exponent solved for a Zipf matrix, None for other matrices.
+    #: It describes how the matrix was found, so it is not serialized and
+    #: not compared.
+    zipf_exponent: float | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.repeat_p <= 1.0:
@@ -60,23 +64,34 @@ class MapTarget:
 
 
 def generate(spec: GeneratorSpec) -> Trace:
-    """Run the repeat chain: deterministic for a given spec (seed included)."""
+    """Run the repeat chain: deterministic for a given spec (seed included).
+
+    The draws, in this order, are what make a spec replay byte-identically:
+    one ``random(length)`` call gives every position a uniform u, then, when
+    length > 1 and p > 0, one ``random(length - 1)`` call gives positions
+    1.. a uniform r. Position 0 is fresh, and so is any position whose r is
+    at least p; every other position repeats the previous pair. A fresh
+    position takes the matrix cell (in the matrix's order) at which the
+    cumulative probability first exceeds its u, the last cell if none does.
+    """
     rng = spec.seed.generator()
     t = spec.length
     m = spec.matrix
-    cdf = np.cumsum(m.probs)
-    draw = np.searchsorted(cdf, rng.random(t), side="right")
-    np.clip(draw, 0, m.support_size - 1, out=draw)
-    fresh_src = m.sources[draw]
-    fresh_dst = m.dests[draw]
-    # Positions that keep the previous pair inherit the index of the most
-    # recent fresh draw; a running maximum turns that into pure indexing.
+    u = rng.random(t)
     fresh = np.ones(t, dtype=bool)
     if t > 1 and spec.repeat_p > 0.0:
         fresh[1:] = rng.random(t - 1) >= spec.repeat_p
-    pos = np.where(fresh, np.arange(t), 0)
-    np.maximum.accumulate(pos, out=pos)
-    return Trace.from_arrays(fresh_src[pos], fresh_dst[pos], name=spec.name, copy=False)
+    # Only fresh positions look up a cell; each run of repeats then takes
+    # the cell of the fresh position that starts it.
+    cell = np.searchsorted(np.cumsum(m.probs), u[fresh], side="right")
+    del u
+    np.clip(cell, 0, m.support_size - 1, out=cell)
+    run = np.cumsum(fresh)
+    del fresh
+    run -= 1
+    cell = cell[run]
+    del run
+    return Trace.from_arrays(m.sources[cell], m.dests[cell], name=spec.name, copy=False)
 
 
 def spec_from_target(target: MapTarget,
@@ -105,7 +120,8 @@ def spec_from_target(target: MapTarget,
     matrix = zipf_matrix(target.n_ids, exponent)
     repeat_p = solve_repeat_probability(target.x, joint_entropy(matrix))
     return GeneratorSpec(matrix=matrix, repeat_p=repeat_p, length=length, seed=seed,
-                         name=name or f"target({target.x:g},{target.y:g})")
+                         name=name or f"target({target.x:g},{target.y:g})",
+                         zipf_exponent=exponent)
 
 
 def spec_from_trace(trace: Trace,
@@ -162,20 +178,31 @@ def reference_presets(n_ids: int = 16,
 
 
 def spec_to_json(spec: GeneratorSpec) -> str:
-    """Serialize a spec, matrix cells inline; spec_from_json reads it back."""
+    """Serialize a spec, matrix cells inline; spec_from_json reads it back.
+
+    The text is ``json.dumps(doc, indent=2, sort_keys=True)`` byte for byte.
+    With an indent, json runs its pure-Python encoder, so only the small head
+    goes through it and the cells, most of the document, are written here.
+    """
+    m = spec.matrix
     doc = {
         "schema": "trace-generator-spec/1",
         "name": spec.name,
         "repeat_p": spec.repeat_p,
         "length": spec.length,
         "seed": {"seed": spec.seed.seed, "stream": list(spec.seed.stream)},
-        "matrix": {
-            "n": spec.matrix.n,
-            "cells": [[int(s), int(d), float(p)] for s, d, p in
-                      zip(spec.matrix.sources, spec.matrix.dests, spec.matrix.probs)],
-        },
+        "matrix": {"n": m.n, "cells": []},
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    # A JSON string escapes its quotes, so only the key itself can match.
+    head, tail = json.dumps(doc, indent=2, sort_keys=True).split('"cells": []', 1)
+    # json's C encoder (no indent) spells each float as json does: its repr,
+    # or NaN, which the matrix's checks let through.
+    probs = json.dumps(np.asarray(m.probs, dtype=np.float64).tolist())[1:-1].split(", ")
+    cells = ",\n".join(
+        f"      [\n        {s},\n        {d},\n        {p}\n      ]"
+        for s, d, p in zip(np.asarray(m.sources, dtype=np.int64).tolist(),
+                           np.asarray(m.dests, dtype=np.int64).tolist(), probs))
+    return f'{head}"cells": [\n{cells}\n    ]{tail}'
 
 
 def spec_from_json(text: str) -> GeneratorSpec:

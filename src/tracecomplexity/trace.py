@@ -26,6 +26,20 @@ class IdSpace:
     source_ids: np.ndarray  # sorted unique int64
     dest_ids: np.ndarray    # sorted unique int64
 
+    @classmethod
+    def from_columns(cls, sources: np.ndarray, dests: np.ndarray) -> "IdSpace":
+        """The IDs found in two columns of non-negative int64 IDs.
+
+        IDs below the columns' combined length, such as relabeled or
+        generated ones, are found by counting, with a count table no longer
+        than the columns; sparse IDs are found by sorting.
+        """
+        top = max((int(col.max()) for col in (sources, dests) if col.size), default=-1)
+        if top < sources.size + dests.size:
+            return cls(source_ids=np.flatnonzero(np.bincount(sources)),
+                       dest_ids=np.flatnonzero(np.bincount(dests)))
+        return cls(source_ids=np.unique(sources), dest_ids=np.unique(dests))
+
     @property
     def union(self) -> np.ndarray:
         return np.union1d(self.source_ids, self.dest_ids)
@@ -67,8 +81,7 @@ class Trace:
             src, dst = src.copy(), dst.copy()
         if src.size and (src.min() < 0 or dst.min() < 0):
             raise ValueError("canonical IDs must be non-negative")
-        space = IdSpace(source_ids=np.unique(src), dest_ids=np.unique(dst))
-        return cls(sources=src, dests=dst, id_space=space, name=name)
+        return cls(sources=src, dests=dst, id_space=IdSpace.from_columns(src, dst), name=name)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]], name: str = "trace") -> "Trace":
@@ -131,10 +144,7 @@ def parse_trace(stream: IO, fmt: CsvFormat = CsvFormat(), name: str = "trace") -
         raise EmptyTraceError("no entries parsed from input")
     sources = np.concatenate([b[0::2] for b in batches], dtype=np.int64)
     dests = np.concatenate([b[1::2] for b in batches], dtype=np.int64)
-    # IDs are dense from 0, so counting finds each column's IDs
-    space = IdSpace(source_ids=np.flatnonzero(np.bincount(sources)),
-                    dest_ids=np.flatnonzero(np.bincount(dests)))
-    return Trace(sources, dests, space, name=name)
+    return Trace(sources, dests, IdSpace.from_columns(sources, dests), name=name)
 
 
 def load_trace(path, fmt: CsvFormat = CsvFormat(), name: str | None = None) -> Trace:
@@ -167,9 +177,20 @@ def encode_canonical(trace: Trace) -> bytes:
     width = len(str(max_id))
     t = len(trace)
     block = np.empty((t, 2 * width + 2), dtype=np.uint8)
-    _render_fixed_width(trace.sources, width, block[:, :width])
+    src_field, dst_field = block[:, :width], block[:, width + 1:2 * width + 1]
+    if max_id < t:
+        # Render each ID value once and copy its digits in as one width-byte
+        # item; the table is never larger than the block it fills.
+        table = np.empty((max_id + 1, width), dtype=np.uint8)
+        _render_fixed_width(np.arange(max_id + 1), width, table)
+        item = f"V{width}"
+        digits = table.view(item)[:, 0]
+        np.take(digits, trace.sources, out=src_field.view(item)[:, 0])
+        np.take(digits, trace.dests, out=dst_field.view(item)[:, 0])
+    else:
+        _render_fixed_width(trace.sources, width, src_field)
+        _render_fixed_width(trace.dests, width, dst_field)
     block[:, width] = ord(",")
-    _render_fixed_width(trace.dests, width, block[:, width + 1:2 * width + 1])
     block[:, -1] = ord("\n")
     return block.tobytes()
 

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from tracecomplexity import load_report, spec_from_json
+from tracecomplexity import entropy, load_report, solve_zipf_exponent, spec_from_json
 from tracecomplexity.cli import main
 
 GEN = ["generate", "--target", "0.4", "0.4", "--n", "16", "--length", "20000",
@@ -36,8 +36,24 @@ class TestGenerate:
         out = tmp_path / "g.csv"
         assert main(GEN + ["--output", str(out)]) == 0
         printed = capsys.readouterr().out
-        assert "zipf exponent" in printed
+        assert f"zipf exponent: {solve_zipf_exponent(16, 0.4):.6f}\n" in printed
         assert "repeat probability: 0.815542" in printed
+
+    def test_zipf_exponent_solved_once(self, tmp_path, monkeypatch):
+        """The printed exponent comes from the solve that built the spec."""
+        calls = []
+        real = entropy.zipf_matrix
+        # every bisection step of the solver builds one matrix
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(entropy, "zipf_matrix", counted)
+        solve_zipf_exponent(16, 0.4)
+        one_solve = len(calls)
+        calls.clear()
+        assert main(GEN + ["--output", str(tmp_path / "g.csv")]) == 0
+        assert len(calls) == one_solve
 
     def test_replay_identical(self, trace_file, tmp_path):
         replayed = tmp_path / "replay.csv"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracecomplexity import (CsvFormat, EmptyTraceError, Trace, TraceParseError,
+from tracecomplexity import (CsvFormat, EmptyTraceError, IdSpace, Trace, TraceParseError,
                              empirical_matrix, encode_canonical, joint_entropy,
                              load_trace, parse_trace, slice_column, write_trace)
 from tracecomplexity import tokenizer
@@ -278,6 +278,74 @@ class TestEncode:
         again = parse_str(encode_canonical(first).decode())
         assert first.sources.tolist() == again.sources.tolist()
         assert first.dests.tolist() == again.dests.tolist()
+
+
+def oracle_encode(trace: Trace) -> bytes:
+    """encode_canonical as first written, kept as its reference: one
+    remainder and one division over each column per digit."""
+    max_id = int(max(trace.sources.max(), trace.dests.max()))
+    width = len(str(max_id))
+    block = np.empty((len(trace), 2 * width + 2), dtype=np.uint8)
+    for values, first in ((trace.sources, 0), (trace.dests, width + 1)):
+        rem = values.astype(np.int64, copy=True)
+        for j in range(first + width - 1, first - 1, -1):
+            block[:, j] = rem % 10 + ord("0")
+            rem //= 10
+    block[:, width] = ord(",")
+    block[:, -1] = ord("\n")
+    return block.tobytes()
+
+
+class TestEncodeAgainstDigitLoop:
+    """encode_canonical renders what the per-digit loop rendered, whether it
+    gathers from a table of rendered IDs (largest ID below the length) or
+    renders the columns directly."""
+
+    @pytest.mark.parametrize("width", range(1, 14))
+    def test_every_width(self, width):
+        rng = np.random.default_rng(width)
+        top = 10 ** width - 1
+        ids = np.concatenate([[0, 10 ** (width - 1), top], rng.integers(0, top + 1, 97)])
+        cases = [ids, ids[::-1]]
+        if top < 20_000:  # long enough for the table
+            cases.append(rng.integers(0, top + 1, top + 1))
+            cases[-1][0] = top
+        for column in cases:
+            tr = Trace.from_arrays(column, np.roll(column, 1))
+            assert encode_canonical(tr) == oracle_encode(tr)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["table-one-short", "table-exactly"])
+    def test_table_threshold(self, extra):
+        # largest ID 99, so the table has 100 rows; the trace has 99 or 100 entries
+        ids = np.arange(99 + extra) % 100
+        ids[-1] = 99
+        tr = Trace.from_arrays(ids, ids[::-1])
+        assert encode_canonical(tr) == oracle_encode(tr)
+
+    def test_sparse_id_next_to_zero(self):
+        tr = Trace.from_pairs([(0, 2 ** 40), (2 ** 40, 0), (0, 0)])
+        assert encode_canonical(tr) == oracle_encode(tr)
+        assert encode_canonical(tr)[:28] == b"0000000000000,1099511627776\n"
+
+    @given(st.lists(st.tuples(st.integers(0, 30) | st.integers(0, 10 ** 13 - 1),
+                              st.integers(0, 30)), min_size=1, max_size=60))
+    def test_random_pairs(self, pairs):
+        tr = Trace.from_pairs(pairs)
+        assert encode_canonical(tr) == oracle_encode(tr)
+
+
+class TestIdSpaceFromColumns:
+    """Counting (IDs below the columns' combined length) and sorting (sparse
+    IDs) find the same ID space as np.unique."""
+
+    @given(st.lists(st.tuples(st.integers(0, 40) | st.just(2 ** 40), st.integers(0, 40)),
+                    min_size=1, max_size=40))
+    def test_same_as_unique(self, pairs):
+        src, dst = np.array(pairs, dtype=np.int64).T
+        space = IdSpace.from_columns(src, dst)
+        assert (space.source_ids.tolist(), space.dest_ids.tolist()) == \
+            (np.unique(src).tolist(), np.unique(dst).tolist())
+        assert space.source_ids.dtype == space.dest_ids.dtype == np.int64
 
 
 class TestFileRoundTrip:
