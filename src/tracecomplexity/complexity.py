@@ -22,7 +22,9 @@ import os
 import threading
 import zlib
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +70,18 @@ def _deflate_size(data: bytes, handle: CompressorHandle) -> int:
     return len(co.compress(data) + co.flush())
 
 
-_BACKENDS = {"lzma": _lzma_size, "deflate": _deflate_size}
+class _Backend(NamedTuple):
+    size: Callable[[bytes, CompressorHandle], int]
+    #: Whether an analysis may run this backend's jobs on a thread per CPU.
+    pooled: bool
+
+
+# LZMA stays serial: each LZMA-6 encoder keeps about 19 MB resident (its hash
+# table is zeroed in full), and per-thread malloc arenas keep a freed one, so
+# running LZMA jobs on two threads raised the benchmark's peak RSS by a
+# quarter. A deflate encoder needs well under 1 MB.
+_BACKENDS = {"lzma": _Backend(_lzma_size, pooled=False),
+             "deflate": _Backend(_deflate_size, pooled=True)}
 DEFAULT_LEVELS = {"lzma": 6, "deflate": 9}
 
 
@@ -129,7 +142,7 @@ def compressed_size(data: bytes, compressor: CompressorHandle | None = None) -> 
         if key in _size_cache:
             _size_cache.move_to_end(key)
             return _size_cache[key]
-    size = backend(data, compressor)
+    size = backend.size(data, compressor)
     with _cache_lock:
         _size_cache[key] = size
         while len(_size_cache) > _SIZE_CACHE_MAX:
@@ -191,6 +204,35 @@ class ComplexityPoint:
         )
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_jobs(jobs: list[Callable[[], bytes]],
+              compressor: CompressorHandle | None) -> list[int]:
+    """Compressed size of each job's buffer, in job order.
+
+    Jobs of a pooled backend run on one thread per usable CPU; the others
+    run one at a time on the calling thread. Sizes do not depend on which.
+    """
+    if compressor is None:
+        compressor = default_compressor()
+
+    def size(job: Callable[[], bytes]) -> int:
+        return compressed_size(job(), compressor)
+
+    backend = _BACKENDS.get(compressor.name)
+    workers = min(len(jobs), _usable_cpus()) if backend and backend.pooled else 1
+    if workers == 1:
+        return [size(job) for job in jobs]
+    from concurrent.futures import ThreadPoolExecutor  # about 6 ms to import
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(size, jobs))
+
+
 def trace_complexity(trace: Trace,
                      compressor: CompressorHandle | None = None,
                      trials: int = 3,
@@ -203,6 +245,8 @@ def trace_complexity(trace: Trace,
     independent. ``uniform_mode`` defaults to "pair" for traces whose columns
     share their ID set and "columnwise" for asymmetric ones; single-column
     traces (from slice_column) must pass "single" (see resample_uniform).
+    With deflate the compressions run on one thread per usable CPU; the
+    result does not depend on how many there are.
     """
     if trials < 1:
         raise ValueError("need at least one randomization trial")
@@ -214,14 +258,16 @@ def trace_complexity(trace: Trace,
             f"trace length {len(trace)} is below the recommended minimum "
             f"{MIN_RECOMMENDED_LENGTH}; compression overhead may dominate the ratios")
 
-    c_original = compressed_size(encode_canonical(trace), compressor)
-    c_shuffled = []
-    c_uniform = []
+    # The plan: the original, then each trial's shuffled and uniform buffer.
+    # A job builds its buffer only when it runs, so each worker holds at
+    # most one.
+    jobs = [lambda: encode_canonical(trace)]
     for k in range(trials):
-        shuffled = temporal_shuffle(trace, seed.derive(0, k))
-        c_shuffled.append(compressed_size(encode_canonical(shuffled), compressor))
-        resampled = resample_uniform(trace, seed.derive(1, k), mode)
-        c_uniform.append(compressed_size(encode_canonical(resampled), compressor))
+        jobs.append(lambda k=k: encode_canonical(temporal_shuffle(trace, seed.derive(0, k))))
+        jobs.append(lambda k=k: encode_canonical(
+            resample_uniform(trace, seed.derive(1, k), mode)))
+    c_original, *sizes = _run_jobs(jobs, compressor)
+    c_shuffled, c_uniform = sizes[0::2], sizes[1::2]
 
     mean_shuffled = float(np.mean(c_shuffled))
     mean_uniform = float(np.mean(c_uniform))

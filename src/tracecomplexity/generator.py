@@ -12,6 +12,7 @@ measured trace.
 from __future__ import annotations
 
 import json
+import math
 import warnings as _warnings
 from dataclasses import dataclass, field
 
@@ -163,7 +164,7 @@ REFERENCE_TARGETS = {
 
 
 def reference_presets(n_ids: int = 16,
-                      length: int = 10_000_000,
+                      length: int = 1_000_000,
                       seed: RngSeed = RngSeed(0)) -> dict[str, GeneratorSpec]:
     """The four corner reference specs, keyed by name.
 
@@ -205,6 +206,17 @@ def spec_to_json(spec: GeneratorSpec) -> str:
     return f'{head}"cells": [\n{cells}\n    ]{tail}'
 
 
+def _check_cells(cells: dict[tuple[int, int], float], n: int) -> None:
+    """Reject a cell that would replay wrongly: TrafficMatrix lets a NaN
+    probability and an ID outside 0..n-1 through, and generate would emit
+    them or fail on them."""
+    for (s, d), p in cells.items():
+        if not math.isfinite(p):
+            raise DataError(f"generator spec cell [{s}, {d}, {p}]: probability is not finite")
+        if not (0 <= s < n and 0 <= d < n):
+            raise DataError(f"generator spec cell [{s}, {d}, {p}]: ID outside 0..{n - 1}")
+
+
 def spec_from_json(text: str) -> GeneratorSpec:
     try:
         doc = json.loads(text)
@@ -216,7 +228,9 @@ def spec_from_json(text: str) -> GeneratorSpec:
     try:
         mdoc = doc["matrix"]
         cells = {(int(s), int(d)): float(p) for s, d, p in mdoc["cells"]}
-        matrix = TrafficMatrix.from_cells(cells, n=int(mdoc["n"]))
+        n = int(mdoc["n"])
+        _check_cells(cells, n)
+        matrix = TrafficMatrix.from_cells(cells, n=n)
         seed_doc = doc.get("seed", {"seed": 0, "stream": []})
         seed = RngSeed(int(seed_doc["seed"]),
                        tuple(int(v) for v in seed_doc.get("stream", ())))

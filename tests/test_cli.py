@@ -175,6 +175,9 @@ BAD_INPUTS = [
     (["map", "{list_slices_report}", "--output", "{out}"], 2),
     (["map", "{list_report}", "--output", "{out}"], 2),
     (["generate", "--spec", "{spec_by_path}", "--output", "{out}"], 2),
+    (["generate", "--spec", "{spec_nan}", "--output", "{out}"], 2),
+    (["generate", "--spec", "{spec_negative_id}", "--output", "{out}"], 2),
+    (["generate", "--spec", "{spec_id_past_n}", "--output", "{out}"], 2),
     (["analyze", "{tiny}", "--level", "99"], 3),
     (["analyze", "{tiny}", "--compressor", "deflate", "--level", "99"], 3),
     (["analyze", "{tiny}", "--dict-size", "1"], 3),
@@ -186,7 +189,8 @@ BAD_INPUTS = [
 def bad_inputs(tmp_path):
     files = {name: tmp_path / name for name in
              ("tiny", "latin1", "huge_id", "partial_report", "list_slices_report",
-              "list_report", "spec_by_path", "out")}
+              "list_report", "spec_by_path", "spec_nan", "spec_negative_id",
+              "spec_id_past_n", "out")}
     files["tiny"].write_text("a,b\nb,a\nc,d\n")
     files["huge_id"].write_text("a,b\n" + "c" * 200_000 + ",d\n")
     files["latin1"].write_bytes("caf\xe9,b\nb,a\n".encode("latin-1"))
@@ -198,6 +202,12 @@ def bad_inputs(tmp_path):
     files["spec_by_path"].write_text(json.dumps(
         {"schema": "trace-generator-spec/1", "repeat_p": 0.5, "length": 10,
          "matrix": {"path": "m.csv", "n": 2}}))
+    for name, cells in (("spec_nan", [[0, 0, float("nan")], [0, 1, float("nan")]]),
+                        ("spec_negative_id", [[-1, 0, 1.0]]),
+                        ("spec_id_past_n", [[0, 7, 1.0]])):
+        files[name].write_text(json.dumps(
+            {"schema": "trace-generator-spec/1", "repeat_p": 0.5, "length": 10,
+             "matrix": {"cells": cells, "n": 2}}))
     return {name: str(path) for name, path in files.items()}
 
 

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import lzma
+import sys
+import threading
+import zlib
+
 import numpy as np
 import pytest
 
 from tracecomplexity import (ComplexityPoint, CompressorHandle, ConfigError,
                              GeneratorSpec, RngSeed, Trace, TrafficMatrix,
-                             clear_size_cache, complexity_of_slices, compressed_size,
-                             default_compressor, encode_canonical, generate,
+                             clear_size_cache, complexity, complexity_of_slices,
+                             compressed_size, default_compressor, default_uniform_mode,
+                             encode_canonical, generate, resample_uniform, slice_column,
                              temporal_shuffle, trace_complexity)
 
 
@@ -210,3 +216,160 @@ class TestSlices:
         src, dst = complexity_of_slices(tr, deflate, trials=2, seed=seed)
         assert src.non_temporal < 0.1
         assert dst.non_temporal > 0.8
+
+
+def oracle_trace_complexity(trace: Trace, compressor: CompressorHandle, trials: int,
+                            seed: RngSeed, uniform_mode: str | None = None) -> ComplexityPoint:
+    """trace_complexity as a serial loop over the trials, kept as the
+    reference for the job plan and its thread pool."""
+    mode = default_uniform_mode(trace) if uniform_mode is None else uniform_mode
+    warnings = []
+    if len(trace) < complexity.MIN_RECOMMENDED_LENGTH:
+        warnings.append(
+            f"trace length {len(trace)} is below the recommended minimum "
+            f"{complexity.MIN_RECOMMENDED_LENGTH}; compression overhead may dominate the ratios")
+    c_original = compressed_size(encode_canonical(trace), compressor)
+    c_shuffled = []
+    c_uniform = []
+    for k in range(trials):
+        shuffled = temporal_shuffle(trace, seed.derive(0, k))
+        c_shuffled.append(compressed_size(encode_canonical(shuffled), compressor))
+        resampled = resample_uniform(trace, seed.derive(1, k), mode)
+        c_uniform.append(compressed_size(encode_canonical(resampled), compressor))
+    mean_shuffled = float(np.mean(c_shuffled))
+    mean_uniform = float(np.mean(c_uniform))
+    temporal = c_original / mean_shuffled
+    non_temporal = mean_shuffled / mean_uniform
+    overall = temporal * non_temporal
+    for label, value in (("temporal", temporal), ("non-temporal", non_temporal),
+                         ("overall", overall)):
+        if value > 1.0:
+            warnings.append(
+                f"{label} ratio {value:.4f} exceeds 1 (compressor noise); "
+                f"raw value reported")
+    return ComplexityPoint(temporal=temporal, non_temporal=non_temporal, overall=overall,
+                           c_original=c_original, c_shuffled_trials=tuple(c_shuffled),
+                           c_uniform_trials=tuple(c_uniform), uniform_mode=mode,
+                           warnings=tuple(warnings))
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Size the pool for four CPUs, so it runs whatever this machine has."""
+    monkeypatch.setattr(complexity, "_usable_cpus", lambda: 4)
+
+
+def _asymmetric_trace() -> Trace:
+    rng = np.random.default_rng(5)
+    return Trace.from_arrays(rng.integers(0, 8, size=20_000), rng.integers(8, 24, size=20_000))
+
+
+class TestJobPool:
+    @pytest.mark.parametrize("backend", ["deflate", "lzma"])
+    @pytest.mark.parametrize("trials", [1, 2, 3, 4])
+    @pytest.mark.parametrize("mode", ["pair", "columnwise", "single"])
+    def test_matches_serial_oracle(self, four_cpus, bursty_trace, backend, trials, mode):
+        handle = CompressorHandle(backend, 1)
+        trace = {"pair": bursty_trace, "columnwise": _asymmetric_trace(),
+                 "single": slice_column(bursty_trace, "source")}[mode]
+        clear_size_cache()
+        pooled = trace_complexity(trace, handle, trials=trials, seed=RngSeed(9),
+                                  uniform_mode=mode)
+        clear_size_cache()
+        serial = oracle_trace_complexity(trace, handle, trials, RngSeed(9), mode)
+        assert pooled == serial
+        assert len(set(serial.c_shuffled_trials + serial.c_uniform_trials)) > trials
+
+    def test_error_reaches_caller_and_pool_ends(self, four_cpus, bursty_trace, monkeypatch):
+        failure = RuntimeError("third compression fails")
+        lock = threading.Lock()
+        calls = []
+        workers = set()
+        real = zlib.compressobj
+
+        def compressobj(*args, **kwargs):
+            with lock:
+                calls.append(None)
+                workers.add(threading.current_thread())
+                if len(calls) == 3:
+                    raise failure
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(zlib, "compressobj", compressobj)
+        clear_size_cache()
+        with pytest.raises(RuntimeError) as info:
+            trace_complexity(bursty_trace, CompressorHandle("deflate", 1), trials=3,
+                             seed=RngSeed(1))
+        assert info.value is failure
+        assert workers and threading.current_thread() not in workers
+        for thread in workers:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+
+    def test_deflate_runs_on_pool_threads(self, four_cpus, bursty_trace, monkeypatch):
+        seen = []
+        real = zlib.compressobj
+
+        def compressobj(*args, **kwargs):
+            seen.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(zlib, "compressobj", compressobj)
+        clear_size_cache()
+        trace_complexity(bursty_trace, CompressorHandle("deflate", 1), trials=2,
+                         seed=RngSeed(1))
+        assert len(seen) == 5
+        assert threading.get_ident() not in seen
+
+    def test_lzma_runs_on_calling_thread(self, four_cpus, bursty_trace, monkeypatch):
+        # Each LZMA-6 encoder keeps about 19 MB resident; running them
+        # concurrently raises peak memory by a quarter.
+        seen = []
+        real = lzma.compress
+
+        def compress(*args, **kwargs):
+            seen.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(lzma, "compress", compress)
+        clear_size_cache()
+        complexity_of_slices(bursty_trace, CompressorHandle("lzma", 1), trials=3,
+                             seed=RngSeed(1))
+        trace_complexity(bursty_trace, CompressorHandle("lzma", 1), trials=3,
+                         seed=RngSeed(1))
+        assert len(seen) >= 7
+        assert set(seen) == {threading.get_ident()}
+
+    def test_concurrent_cache_stress(self, monkeypatch):
+        # More threads than cores share the size cache, switching as often as
+        # the interpreter allows; evictions must keep it bounded and every
+        # size must be the backend's.
+        monkeypatch.setattr(complexity, "_SIZE_CACHE_MAX", 16)
+        handle = CompressorHandle("deflate", 1)
+        buffers = [bytes(f"{i},{i * 7 % 13}\n", "ascii") * (50 + i) for i in range(64)]
+        expected = [complexity._deflate_size(b, handle) for b in buffers]
+        wrong = []
+        clear_size_cache()
+
+        def hammer(offset):
+            for round_ in range(4):
+                for i in range(len(buffers)):
+                    j = (i * 5 + offset + round_) % len(buffers)
+                    if compressed_size(buffers[j], handle) != expected[j]:
+                        wrong.append(j)
+
+        threads = [threading.Thread(target=hammer, args=(t,))
+                   for t in range(2 * complexity._usable_cpus() + 2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert len(complexity._size_cache) <= 16
+        clear_size_cache()

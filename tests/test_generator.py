@@ -152,7 +152,7 @@ class TestReferencePresets:
 
     def test_default_scale_matches_table(self):
         presets = reference_presets()
-        assert all(s.length == 10_000_000 for s in presets.values())
+        assert all(s.length == 1_000_000 for s in presets.values())
         assert all(s.matrix.n == 16 for s in presets.values())
 
     def test_matrices_and_p_values(self):
@@ -192,6 +192,19 @@ class TestSpecJson:
     def test_missing_fields(self):
         with pytest.raises(DataError):
             spec_from_json('{"schema": "trace-generator-spec/1", "matrix": {"n": 2}}')
+
+    @pytest.mark.parametrize("cell, match", [
+        ([0, 1, float("nan")], r"cell \[0, 1, nan\]: probability is not finite"),
+        ([0, 1, float("inf")], r"cell \[0, 1, inf\]: probability is not finite"),
+        ([-1, 0, 1.0], r"cell \[-1, 0, 1.0\]: ID outside 0..1"),
+        ([0, 7, 1.0], r"cell \[0, 7, 1.0\]: ID outside 0..1"),
+        ([2 ** 70, 0, 1.0], r"cell \[1180591620717411303424, 0, 1.0\]: ID outside 0..1"),
+    ], ids=["nan", "inf", "negative-id", "id-past-n", "id-past-int64"])
+    def test_bad_cell_named(self, cell, match):
+        doc = {"schema": "trace-generator-spec/1", "repeat_p": 0.5, "length": 10,
+               "matrix": {"cells": [cell], "n": 2}}
+        with pytest.raises(DataError, match=match):
+            spec_from_json(json.dumps(doc))
 
 
 def oracle_generate(spec: GeneratorSpec) -> Trace:
