@@ -14,7 +14,7 @@ from pathlib import Path
 
 from tracecomplexity import (MapTarget, RngSeed, default_compressor, generate,
                              load_trace, spec_from_target, spec_from_trace,
-                             spec_to_json, trace_complexity, write_trace)
+                             trace_complexity, write_spec, write_trace)
 
 
 def main(argv=None) -> int:
@@ -43,7 +43,7 @@ def main(argv=None) -> int:
         print(f"demo trace: p={demo_spec.repeat_p:.4f}, {args.length} entries")
 
     fitted = spec_from_trace(original, trials=args.trials, compressor=comp, seed=seed)
-    (outdir / "fitted.spec.json").write_text(spec_to_json(fitted) + "\n")
+    write_spec(fitted, outdir / "fitted.spec.json")
     regen = generate(fitted)
     write_trace(regen, outdir / "regenerated.csv")
 

@@ -16,8 +16,8 @@ from pathlib import Path
 
 from tracecomplexity import (REFERENCE_TARGETS, AnalysisReport, MapPoint, RngSeed,
                              complexity_map_svg, default_compressor, generate,
-                             reference_presets, spec_to_json, trace_complexity,
-                             write_map_csv, write_trace)
+                             reference_presets, trace_complexity, write_map_csv,
+                             write_spec, write_trace)
 
 
 def main(argv=None) -> int:
@@ -45,7 +45,7 @@ def main(argv=None) -> int:
         t0 = time.monotonic()
         trace = generate(spec)
         write_trace(trace, outdir / f"{name}.csv")
-        (outdir / f"{name}.spec.json").write_text(spec_to_json(spec) + "\n")
+        write_spec(spec, outdir / f"{name}.spec.json")
         point = trace_complexity(trace, comp, trials=args.trials, seed=seed)
         report = AnalysisReport.build(trace, point, comp, args.trials, seed,
                                       trace_path=str(outdir / f"{name}.csv"))

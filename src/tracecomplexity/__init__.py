@@ -21,7 +21,7 @@ from .errors import (ConfigError, DataError, EmptyTraceError, SolverError,
                      TraceComplexityError, TraceParseError)
 from .generator import (REFERENCE_TARGETS, GeneratorSpec, MapTarget, generate,
                         reference_presets, spec_from_json, spec_from_target,
-                        spec_from_trace, spec_to_json)
+                        spec_from_trace, spec_to_json, write_spec)
 from .reports import AnalysisReport, load_report
 from .svgplots import MapPoint, complexity_map_svg, matrix_heatmap_svg, write_map_csv
 from .trace import (CsvFormat, IdSpace, Trace, encode_canonical, load_trace,
@@ -79,6 +79,7 @@ __all__ = [
     "temporal_shuffle",
     "trace_complexity",
     "write_map_csv",
+    "write_spec",
     "write_trace",
     "zipf_matrix",
 ]

@@ -16,9 +16,9 @@ from .complexity import complexity_of_slices, default_compressor, trace_complexi
 from .entropy import empirical_matrix, joint_entropy, normalized_nontemporal
 from .errors import ConfigError, DataError, SolverError
 from .generator import (MapTarget, generate, spec_from_json, spec_from_target,
-                        spec_from_trace, spec_to_json)
+                        spec_from_trace, write_spec)
 from .reports import AnalysisReport, load_report
-from .svgplots import MapPoint, complexity_map_svg, matrix_heatmap_svg, write_map_csv
+from .svgplots import MapPoint, complexity_map_svg, matrix_heatmap_chunks, write_map_csv
 from .trace import CsvFormat, load_trace, write_trace
 from .transforms import RngSeed
 
@@ -147,10 +147,9 @@ def cmd_generate(args) -> int:
         print(f"loaded spec {spec.name!r}: repeat probability {spec.repeat_p:.6f}, "
               f"length {spec.length}")
 
-    trace = generate(spec)
-    write_trace(trace, args.output)
+    write_trace(generate(spec), args.output)  # the trace is freed before the spec is written
     spec_path = args.spec_output or (str(args.output) + ".spec.json")
-    Path(spec_path).write_text(spec_to_json(spec) + "\n", encoding="utf-8")
+    write_spec(spec, spec_path)
     print(f"trace written to {args.output} ({spec.length} entries); "
           f"spec written to {spec_path}", file=sys.stderr)
     return EXIT_OK
@@ -177,7 +176,7 @@ def cmd_map(args) -> int:
 def cmd_matrix(args) -> int:
     trace = load_trace(args.trace, _format(args))
     matrix = empirical_matrix(trace)
-    matrix.write_dense_csv(args.output)
+    dense = matrix.write_dense_csv(args.output)
     try:
         norm = normalized_nontemporal(matrix)
         print(f"pairs: {matrix.support_size}, joint entropy: "
@@ -186,8 +185,8 @@ def cmd_matrix(args) -> int:
         print(f"pairs: {matrix.support_size}, joint entropy: "
               f"{joint_entropy(matrix):.6f} bits (single ID; no normalization)")
     if args.svg:
-        svg = matrix_heatmap_svg(matrix.to_dense(), log_scale=args.log_scale)
-        Path(args.svg).write_text(svg, encoding="utf-8")
+        with open(args.svg, "w", encoding="utf-8") as fh:
+            fh.writelines(matrix_heatmap_chunks(dense, log_scale=args.log_scale))
     print(f"dense matrix written to {args.output}", file=sys.stderr)
     return EXIT_OK
 
@@ -205,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_compressor_args(p)
     p.add_argument("--trials", type=_int_at_least(1), default=3,
                    help="randomization trials (default: 3)")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed (default: 0)")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="base RNG seed (default: 0)")
     p.add_argument("--uniform-mode", choices=["auto", "pair", "columnwise"],
                    default="auto", help="uniform-counterpart sampling mode")
     p.add_argument("--slices", action="store_true",
@@ -222,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=16, help="ID count for --target (default: 16)")
     p.add_argument("--length", type=int, default=None,
                    help="entries to generate (default: 1000000, or the spec/fit length)")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed (default: 0)")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="base RNG seed (default: 0)")
     p.add_argument("--allow-degenerate", action="store_true",
                    help="accept y=0 targets via a single-pair matrix")
     p.add_argument("--trials", type=_int_at_least(1), default=3,

@@ -233,6 +233,40 @@ def _run_jobs(jobs: list[Callable[[], bytes]],
         return list(pool.map(size, jobs))
 
 
+# The jobs of an analysis. A job builds its buffer only when it runs, so
+# each worker holds at most one.
+def _original_job(trace: Trace) -> Callable[[], bytes]:
+    return lambda: encode_canonical(trace)
+
+
+def _shuffled_job(trace: Trace, seed: RngSeed, k: int) -> Callable[[], bytes]:
+    return lambda: encode_canonical(temporal_shuffle(trace, seed.derive(0, k)))
+
+
+def _uniform_job(trace: Trace, seed: RngSeed, k: int, mode: str) -> Callable[[], bytes]:
+    return lambda: encode_canonical(resample_uniform(trace, seed.derive(1, k), mode))
+
+
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError("need at least one randomization trial")
+
+
+def _temporal_ratio(c_original: int, c_shuffled: list[int]) -> float:
+    return c_original / float(np.mean(c_shuffled))
+
+
+def _measure_temporal(trace: Trace, compressor: CompressorHandle | None = None,
+                      trials: int = 3, seed: RngSeed = RngSeed(0)) -> float:
+    """The temporal ratio ``trace_complexity`` measures, from its original
+    and shuffled jobs alone: the uniform jobs serve only the non-temporal
+    ratio."""
+    _check_trials(trials)
+    jobs = [_original_job(trace)] + [_shuffled_job(trace, seed, k) for k in range(trials)]
+    c_original, *c_shuffled = _run_jobs(jobs, compressor)
+    return _temporal_ratio(c_original, c_shuffled)
+
+
 def trace_complexity(trace: Trace,
                      compressor: CompressorHandle | None = None,
                      trials: int = 3,
@@ -248,8 +282,7 @@ def trace_complexity(trace: Trace,
     With deflate the compressions run on one thread per usable CPU; the
     result does not depend on how many there are.
     """
-    if trials < 1:
-        raise ValueError("need at least one randomization trial")
+    _check_trials(trials)
     mode = default_uniform_mode(trace) if uniform_mode is None else uniform_mode
 
     warnings: list[str] = []
@@ -259,19 +292,15 @@ def trace_complexity(trace: Trace,
             f"{MIN_RECOMMENDED_LENGTH}; compression overhead may dominate the ratios")
 
     # The plan: the original, then each trial's shuffled and uniform buffer.
-    # A job builds its buffer only when it runs, so each worker holds at
-    # most one.
-    jobs = [lambda: encode_canonical(trace)]
+    jobs = [_original_job(trace)]
     for k in range(trials):
-        jobs.append(lambda k=k: encode_canonical(temporal_shuffle(trace, seed.derive(0, k))))
-        jobs.append(lambda k=k: encode_canonical(
-            resample_uniform(trace, seed.derive(1, k), mode)))
+        jobs += [_shuffled_job(trace, seed, k), _uniform_job(trace, seed, k, mode)]
     c_original, *sizes = _run_jobs(jobs, compressor)
     c_shuffled, c_uniform = sizes[0::2], sizes[1::2]
 
     mean_shuffled = float(np.mean(c_shuffled))
     mean_uniform = float(np.mean(c_uniform))
-    temporal = c_original / mean_shuffled
+    temporal = _temporal_ratio(c_original, c_shuffled)
     non_temporal = mean_shuffled / mean_uniform
     overall = temporal * non_temporal
     for label, value in (("temporal", temporal), ("non-temporal", non_temporal),

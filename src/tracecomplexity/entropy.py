@@ -75,13 +75,15 @@ class TrafficMatrix:
         return {(int(s), int(d)): float(p)
                 for s, d, p in zip(self.sources, self.dests, self.probs)}
 
-    def write_dense_csv(self, path) -> None:
-        """Dense n-by-n grid export for heatmap plotting."""
+    def write_dense_csv(self, path) -> np.ndarray:
+        """Dense n-by-n grid export for heatmap plotting; returns the grid,
+        so a caller that also draws it need not build it again."""
         dense = self.to_dense()
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             for row in dense:
-                w.writerow([repr(float(v)) for v in row])
+                w.writerow(map(repr, row.tolist()))
+        return dense
 
 
 def binary_entropy(p: float) -> float:
@@ -218,15 +220,28 @@ def solve_zipf_exponent(n_ids: int, y_target: float, tol: float = 1e-6) -> float
 
 
 def empirical_matrix(trace: Trace) -> TrafficMatrix:
-    """Pair-frequency matrix of a trace: counts over t."""
-    n = trace.id_space.n
-    base = int(max(trace.sources.max(), trace.dests.max())) + 1
-    codes = trace.sources * base + trace.dests
-    uniq, counts = np.unique(codes, return_counts=True)
-    probs = counts / counts.sum()
-    return TrafficMatrix(sources=(uniq // base).astype(np.int64),
-                         dests=(uniq % base).astype(np.int64),
-                         probs=probs.astype(np.float64), n=n)
+    """Pair-frequency matrix of a trace: counts over t.
+
+    Each ID is replaced by its rank among the trace's IDs, so the matrix
+    lives on 0..n-1 whatever the IDs; the IDs of a parsed or generated trace
+    already are 0..n-1 and keep their values. Pairs are counted with a table
+    of all n*n pairs when that is no longer than the trace, else by sorting.
+    """
+    ids = trace.id_space.union
+    n = int(ids.size)
+    sources, dests = trace.sources, trace.dests
+    if ids[-1] != n - 1:
+        sources, dests = np.searchsorted(ids, sources), np.searchsorted(ids, dests)
+    codes = sources * n
+    codes += dests
+    if n * n <= codes.size:
+        counts = np.bincount(codes, minlength=n * n)
+        pairs = np.flatnonzero(counts)
+        counts = counts[pairs]
+    else:
+        pairs, counts = np.unique(codes, return_counts=True)
+    return TrafficMatrix(sources=pairs // n, dests=pairs % n,
+                         probs=counts / counts.sum(), n=n)
 
 
 def repeat_chain_entropy_rate(matrix: TrafficMatrix, repeat_p: float) -> float:

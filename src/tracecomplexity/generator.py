@@ -15,10 +15,11 @@ import json
 import math
 import warnings as _warnings
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
-from .complexity import CompressorHandle, trace_complexity
+from .complexity import CompressorHandle, _measure_temporal
 from .entropy import (TrafficMatrix, joint_entropy, solve_repeat_probability,
                       solve_zipf_exponent, zipf_matrix, empirical_matrix)
 from .errors import ConfigError, DataError, SolverError
@@ -83,11 +84,16 @@ def generate(spec: GeneratorSpec) -> Trace:
     if t > 1 and spec.repeat_p > 0.0:
         fresh[1:] = rng.random(t - 1) >= spec.repeat_p
     # Only fresh positions look up a cell; each run of repeats then takes
-    # the cell of the fresh position that starts it.
-    cell = np.searchsorted(np.cumsum(m.probs), u[fresh], side="right")
+    # the cell of the fresh position that starts it. Cell and run numbers
+    # are int32 where they fit, and each full-length array is freed as soon
+    # as the one that replaces it exists.
+    index = np.int32 if max(t, m.support_size) < 2 ** 31 else np.int64
+    u = u[fresh]
+    cell = np.searchsorted(np.cumsum(m.probs), u, side="right")
     del u
     np.clip(cell, 0, m.support_size - 1, out=cell)
-    run = np.cumsum(fresh)
+    cell = cell.astype(index, copy=False)
+    run = np.cumsum(fresh, dtype=index)
     del fresh
     run -= 1
     cell = cell[run]
@@ -142,8 +148,7 @@ def spec_from_trace(trace: Trace,
         _warnings.warn("trace has a single repeated pair; repeat probability pinned to 1")
         repeat_p = 1.0
     else:
-        point = trace_complexity(trace, compressor, trials=trials, seed=seed)
-        measured = point.temporal
+        measured = _measure_temporal(trace, compressor, trials=trials, seed=seed)
         if measured > 1.0:
             _warnings.warn(
                 f"measured temporal ratio {measured:.4f} exceeds 1 (compressor "
@@ -178,8 +183,13 @@ def reference_presets(n_ids: int = 16,
     return presets
 
 
-def spec_to_json(spec: GeneratorSpec) -> str:
-    """Serialize a spec, matrix cells inline; spec_from_json reads it back.
+#: Cells ``_spec_chunks`` spells per chunk.
+_SPEC_CELLS = 1 << 12
+
+
+def _spec_chunks(spec: GeneratorSpec) -> Iterator[str]:
+    """The text of ``spec_to_json`` in pieces: the head, then the cells a
+    block at a time, then the tail.
 
     The text is ``json.dumps(doc, indent=2, sort_keys=True)`` byte for byte.
     With an indent, json runs its pure-Python encoder, so only the small head
@@ -196,14 +206,33 @@ def spec_to_json(spec: GeneratorSpec) -> str:
     }
     # A JSON string escapes its quotes, so only the key itself can match.
     head, tail = json.dumps(doc, indent=2, sort_keys=True).split('"cells": []', 1)
-    # json's C encoder (no indent) spells each float as json does: its repr,
-    # or NaN, which the matrix's checks let through.
-    probs = json.dumps(np.asarray(m.probs, dtype=np.float64).tolist())[1:-1].split(", ")
-    cells = ",\n".join(
-        f"      [\n        {s},\n        {d},\n        {p}\n      ]"
-        for s, d, p in zip(np.asarray(m.sources, dtype=np.int64).tolist(),
-                           np.asarray(m.dests, dtype=np.int64).tolist(), probs))
-    return f'{head}"cells": [\n{cells}\n    ]{tail}'
+    yield head + '"cells": [\n'
+    sources = np.asarray(m.sources, dtype=np.int64)
+    dests = np.asarray(m.dests, dtype=np.int64)
+    probs = np.asarray(m.probs, dtype=np.float64)
+    for start in range(0, m.support_size, _SPEC_CELLS):
+        block = slice(start, start + _SPEC_CELLS)
+        # json's C encoder (no indent) spells each float as json does: its
+        # repr, or NaN, which the matrix's checks let through.
+        spelled = json.dumps(probs[block].tolist())[1:-1].split(", ")
+        cells = ",\n".join(
+            f"      [\n        {s},\n        {d},\n        {p}\n      ]"
+            for s, d, p in zip(sources[block].tolist(), dests[block].tolist(), spelled))
+        yield f",\n{cells}" if start else cells
+    yield f"\n    ]{tail}"
+
+
+def spec_to_json(spec: GeneratorSpec) -> str:
+    """Serialize a spec, matrix cells inline; spec_from_json reads it back."""
+    return "".join(_spec_chunks(spec))
+
+
+def write_spec(spec: GeneratorSpec, path) -> None:
+    """Write ``spec_to_json(spec)`` and a newline to ``path`` as UTF-8,
+    a block of cells at a time, so the text is never held whole."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_spec_chunks(spec))
+        fh.write("\n")
 
 
 def _check_cells(cells: dict[tuple[int, int], float], n: int) -> None:
@@ -217,6 +246,27 @@ def _check_cells(cells: dict[tuple[int, int], float], n: int) -> None:
             raise DataError(f"generator spec cell [{s}, {d}, {p}]: ID outside 0..{n - 1}")
 
 
+def _cells_matrix(sources: list[int], dests: list[int], probs: list[float],
+                  n: int) -> TrafficMatrix:
+    """``TrafficMatrix.from_cells({(s, d): p, ...}, n)`` for a spec's cells,
+    built from arrays: a later cell of the same pair wins, and the cells are
+    sorted by pair. The cells are checked first, as ``_check_cells`` checks
+    that dict; only a spec that fails the check builds it.
+    """
+    p = np.array(probs, dtype=np.float64)
+    in_range = all(0 <= min(ids, default=0) and max(ids, default=0) < n
+                   for ids in (sources, dests))
+    if not (in_range and np.isfinite(p).all()):
+        _check_cells(dict(zip(zip(sources, dests), probs)), n)
+    s = np.array(sources, dtype=np.int64)
+    d = np.array(dests, dtype=np.int64)
+    order = np.lexsort((d, s))  # stable, so a pair's cells keep their order
+    s, d, p = s[order], d[order], p[order]
+    last = np.ones(s.size, dtype=bool)  # the last cell of each pair
+    np.logical_or(s[1:] != s[:-1], d[1:] != d[:-1], out=last[:-1])
+    return TrafficMatrix(s[last], d[last], p[last], n)
+
+
 def spec_from_json(text: str) -> GeneratorSpec:
     try:
         doc = json.loads(text)
@@ -227,15 +277,17 @@ def spec_from_json(text: str) -> GeneratorSpec:
         raise DataError(f"not a generator spec document (schema {found!r})")
     try:
         mdoc = doc["matrix"]
-        cells = {(int(s), int(d)): float(p) for s, d, p in mdoc["cells"]}
-        n = int(mdoc["n"])
-        _check_cells(cells, n)
-        matrix = TrafficMatrix.from_cells(cells, n=n)
+        sources, dests, probs = [], [], []
+        for s, d, p in mdoc["cells"]:
+            sources.append(int(s))
+            dests.append(int(d))
+            probs.append(float(p))
+        matrix = _cells_matrix(sources, dests, probs, int(mdoc["n"]))
         seed_doc = doc.get("seed", {"seed": 0, "stream": []})
         seed = RngSeed(int(seed_doc["seed"]),
                        tuple(int(v) for v in seed_doc.get("stream", ())))
         return GeneratorSpec(matrix=matrix, repeat_p=float(doc["repeat_p"]),
                              length=int(doc["length"]), seed=seed,
                              name=doc.get("name", "generated"))
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"malformed generator spec: {e!r}") from e

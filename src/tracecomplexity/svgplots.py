@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -100,49 +101,65 @@ def write_map_csv(points: list[MapPoint], path) -> None:
             w.writerow([p.name, repr(p.temporal), repr(p.non_temporal), repr(p.overall)])
 
 
+#: Fill of a cell at each shade; 255 is white, the fill of cells without traffic.
+_FILLS = [f"rgb({shade},{shade},255)" for shade in range(256)]
+
+
+def matrix_heatmap_chunks(dense: np.ndarray, log_scale: bool = False,
+                          cell: int = 24) -> Iterator[str]:
+    """The text of ``matrix_heatmap_svg`` in pieces: the head, one row of
+    cells at a time, then the axis labels. Memory stays at a row's text."""
+    grid = np.asarray(dense, dtype=np.float64)
+    n_rows, n_cols = grid.shape
+    pad_l, pad_t = 40, 10
+    width = pad_l + n_cols * cell + 10
+    height = pad_t + n_rows * cell + 40
+    vmax = float(grid.max())
+    positive = grid > 0
+    vmin = float(grid.min(where=positive, initial=np.inf)) if positive.any() else 0.0
+    del positive
+    yield (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+           f'viewBox="0 0 {width} {height}">\n'
+           f'<rect width="{width}" height="{height}" fill="white"/>\n')
+    log_ramp = log_scale and vmax > vmin
+    if log_ramp:
+        low = math.log10(vmin)
+        span = math.log10(vmax) - low
+    xs = [pad_l + j * cell for j in range(n_cols)]
+    for i, row in enumerate(grid):
+        # A cell's intensity: 0 without traffic, else its place on the ramp
+        # from vmin (log scale) or 0 up to vmax. A NaN anywhere makes vmax NaN.
+        lit = ~(row <= 0) if not vmax <= 0 else np.zeros(n_cols, dtype=bool)
+        intensity = np.zeros(n_cols)
+        if log_ramp:
+            intensity[lit] = [(math.log10(v) - low) / span for v in row[lit].tolist()]
+        elif log_scale:
+            intensity[lit] = 1.0
+        else:
+            intensity[lit] = row[lit] / vmax
+        shade = np.round(255 * (1.0 - 0.92 * np.clip(intensity, 0.0, 1.0)))
+        if np.isnan(shade).any():  # a NaN or infinite cell has no place on the ramp
+            raise ValueError("cannot convert float NaN to integer")
+        shade[~(row > 0)] = 255
+        y = pad_t + i * cell
+        yield "".join(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                      f'fill="{_FILLS[s]}" stroke="#eeeeee" stroke-width="0.5"/>\n'
+                      for x, s in zip(xs, shade.astype(np.intp).tolist()))
+    yield (f'<text x="{pad_l + n_cols * cell / 2:.0f}" y="{height - 12}" font-size="13" '
+           f'text-anchor="middle" font-family="sans-serif">destination</text>\n'
+           f'<text x="14" y="{pad_t + n_rows * cell / 2:.0f}" font-size="13" '
+           f'text-anchor="middle" font-family="sans-serif" '
+           f'transform="rotate(-90 14 {pad_t + n_rows * cell / 2:.0f})">source</text>\n'
+           '</svg>\n')
+
+
 def matrix_heatmap_svg(dense: np.ndarray, log_scale: bool = False, cell: int = 24) -> str:
     """Heatmap of a dense pair-probability grid; darker means more traffic.
 
     With log_scale the color ramp runs between the smallest and largest
     positive cells on a log axis, which keeps heavy-tailed matrices readable.
     """
-    n_rows, n_cols = dense.shape
-    pad_l, pad_t = 40, 10
-    width = pad_l + n_cols * cell + 10
-    height = pad_t + n_rows * cell + 40
-    vmax = float(dense.max())
-    positive = dense[dense > 0]
-    vmin = float(positive.min()) if positive.size else 0.0
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-    ]
-    for i in range(n_rows):
-        for j in range(n_cols):
-            v = float(dense[i, j])
-            if v <= 0 or vmax <= 0:
-                intensity = 0.0
-            elif log_scale and vmax > vmin:
-                intensity = (math.log10(v) - math.log10(vmin)) / \
-                            (math.log10(vmax) - math.log10(vmin))
-            elif log_scale:
-                intensity = 1.0
-            else:
-                intensity = v / vmax
-            shade = int(round(255 * (1.0 - 0.92 * min(max(intensity, 0.0), 1.0))))
-            color = f"rgb({shade},{shade},255)" if v > 0 else "rgb(255,255,255)"
-            x = pad_l + j * cell
-            y = pad_t + i * cell
-            parts.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                         f'fill="{color}" stroke="#eeeeee" stroke-width="0.5"/>')
-    parts.append(f'<text x="{pad_l + n_cols * cell / 2:.0f}" y="{height - 12}" font-size="13" '
-                 f'text-anchor="middle" font-family="sans-serif">destination</text>')
-    parts.append(f'<text x="14" y="{pad_t + n_rows * cell / 2:.0f}" font-size="13" '
-                 f'text-anchor="middle" font-family="sans-serif" '
-                 f'transform="rotate(-90 14 {pad_t + n_rows * cell / 2:.0f})">source</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return "".join(matrix_heatmap_chunks(dense, log_scale, cell))
 
 
 def _escape(text: str) -> str:

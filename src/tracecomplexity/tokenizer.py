@@ -1,10 +1,11 @@
 """Tokenizer behind trace.parse_trace: delimited text to interned ID codes.
 
 The text is read in pieces of fixed size and each piece is tokenized with
-vectorized scans over its bytes. From the first piece whose quoting, lone
-carriage returns or non-ASCII text that tokenizer cannot reproduce exactly,
-csv.reader reads the rest. Both produce ``Records``, which ``check_rows``
-and ``relabel`` take alike.
+vectorized scans over its bytes. A piece whose quoting, lone carriage
+returns or non-ASCII text that tokenizer cannot reproduce exactly goes to
+csv.reader instead, which hands the stream back at the first piece end
+where a record ends. Both produce ``Records``, which ``check_rows`` and
+``relabel`` take alike.
 """
 
 from __future__ import annotations
@@ -195,20 +196,48 @@ def _csv_records(rows: Iterator[list[str]], columns: tuple[int, int]) -> Iterato
             return
 
 
+def _csv_rows(first: str, pieces: Iterator[str], delimiter: str) -> Iterator[list[str]]:
+    """csv.reader's rows of ``first`` and of as many later pieces as it
+    needs to end a record at the end of a piece.
+
+    A quoted field can run on past the end of a piece; the reader then
+    draws the next piece. Every record it yields ends at a line end, so it
+    stands at a record start exactly when it has read every line handed to
+    it, and the rest of ``pieces`` is left to the caller.
+    """
+    handed = 0
+
+    def lines() -> Iterator[str]:
+        nonlocal handed
+        for piece in chain([first], pieces):
+            piece_lines = io.StringIO(piece, newline="").readlines()
+            handed += len(piece_lines)
+            yield from piece_lines
+
+    reader = csv.reader(lines(), delimiter=delimiter)
+    for row in reader:
+        yield row
+        if reader.line_num == handed:
+            return
+
+
 def records(stream: IO, delimiter: str, columns: tuple[int, int]) -> Iterator[Records]:
     """Tokenize a text stream into runs of records, keeping two columns.
 
-    The byte tokenizer reads it, or csv.reader from the first piece the byte
-    tokenizer cannot read exactly until the end.
+    The byte tokenizer reads each piece it can read exactly; csv.reader
+    reads the others, and with them any piece that a quoted field of
+    theirs runs into.
     """
     limit = csv.field_size_limit()
     pieces = _pieces(stream)
     for piece in pieces:
-        if not _byte_tokenizable(piece, delimiter):
-            lines = chain.from_iterable(io.StringIO(p, newline="") for p in chain([piece], pieces))
-            yield from _csv_records(csv.reader(lines, delimiter=delimiter), columns)
-            return
-        yield _byte_records(piece, delimiter, columns, limit)
+        if _byte_tokenizable(piece, delimiter):
+            yield _byte_records(piece, delimiter, columns, limit)
+            continue
+        for run in _csv_records(_csv_rows(piece, pieces, delimiter), columns):
+            yield run
+            if run.error is not None:
+                return
 
 
 def check_rows(widths: np.ndarray, codes: np.ndarray, ids: list[str], needed: int,

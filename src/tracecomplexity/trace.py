@@ -167,38 +167,64 @@ def _render_fixed_width(values: np.ndarray, width: int, out: np.ndarray) -> None
         rem //= 10
 
 
+#: Rows ``write_trace`` renders and writes at a time: 256 KB of text at
+#: 3-digit IDs, so a write needs no copy of the whole encoding.
+_WRITE_ROWS = 1 << 15
+
+
+def _row_encoder(trace: Trace):
+    """A function rendering rows ``[start, stop)`` of ``trace`` as a uint8
+    block of ``src,dst\\n`` records.
+
+    The field width is the digit count of the largest canonical ID. When that
+    ID is below the trace length, each ID value is rendered once into a
+    table that is never larger than the trace's encoding, and a block copies
+    its digits in as one width-byte item per field.
+    """
+    max_id = int(max(trace.sources.max(), trace.dests.max()))
+    width = len(str(max_id))
+    item = f"V{width}"
+    digits = None
+    if max_id < len(trace):
+        table = np.empty((max_id + 1, width), dtype=np.uint8)
+        _render_fixed_width(np.arange(max_id + 1), width, table)
+        digits = table.view(item)[:, 0]
+
+    def encode(start: int, stop: int) -> np.ndarray:
+        block = np.empty((stop - start, 2 * width + 2), dtype=np.uint8)
+        fields = ((trace.sources[start:stop], block[:, :width]),
+                  (trace.dests[start:stop], block[:, width + 1:2 * width + 1]))
+        for ids, field in fields:
+            if digits is None:
+                _render_fixed_width(ids, width, field)
+            else:
+                np.take(digits, ids, out=field.view(item)[:, 0])
+        block[:, width] = ord(",")
+        block[:, -1] = ord("\n")
+        return block
+
+    return encode
+
+
 def encode_canonical(trace: Trace) -> bytes:
     """Render a trace as fixed-width decimal text, ``src,dst\\n`` per entry.
 
     The field width is the digit count of the largest canonical ID, so every
     record occupies exactly 2*width + 2 bytes. Output is deterministic.
     """
-    max_id = int(max(trace.sources.max(), trace.dests.max()))
-    width = len(str(max_id))
-    t = len(trace)
-    block = np.empty((t, 2 * width + 2), dtype=np.uint8)
-    src_field, dst_field = block[:, :width], block[:, width + 1:2 * width + 1]
-    if max_id < t:
-        # Render each ID value once and copy its digits in as one width-byte
-        # item; the table is never larger than the block it fills.
-        table = np.empty((max_id + 1, width), dtype=np.uint8)
-        _render_fixed_width(np.arange(max_id + 1), width, table)
-        item = f"V{width}"
-        digits = table.view(item)[:, 0]
-        np.take(digits, trace.sources, out=src_field.view(item)[:, 0])
-        np.take(digits, trace.dests, out=dst_field.view(item)[:, 0])
-    else:
-        _render_fixed_width(trace.sources, width, src_field)
-        _render_fixed_width(trace.dests, width, dst_field)
-    block[:, width] = ord(",")
-    block[:, -1] = ord("\n")
-    return block.tobytes()
+    return _row_encoder(trace)(0, len(trace)).tobytes()
 
 
 def write_trace(trace: Trace, path) -> None:
-    """Write the canonical encoding to a file (it parses back via parse_trace)."""
+    """Write the canonical encoding to a file (it parses back via parse_trace).
+
+    Rows are rendered and written a block at a time, so the file's bytes are
+    never held whole.
+    """
+    encode = _row_encoder(trace)
     with open(path, "wb") as fh:
-        fh.write(encode_canonical(trace))
+        for start in range(0, len(trace), _WRITE_ROWS):
+            fh.write(encode(start, min(start + _WRITE_ROWS, len(trace))))
 
 
 def slice_column(trace: Trace, which: str) -> Trace:

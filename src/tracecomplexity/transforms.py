@@ -27,6 +27,11 @@ class RngSeed:
     seed: int = 0
     stream: tuple[int, ...] = ()
 
+    def __post_init__(self):
+        # numpy's SeedSequence rejects these only when a generator is made
+        if self.seed < 0 or any(tag < 0 for tag in self.stream):
+            raise ValueError(f"seed {self.seed} and stream {self.stream} must be non-negative")
+
     def derive(self, *tags: int) -> "RngSeed":
         return RngSeed(self.seed, self.stream + tags)
 

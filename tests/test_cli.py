@@ -6,9 +6,15 @@ and short traces; numeric fidelity at scale is the acceptance suite's job.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracecomplexity import entropy, load_report, solve_zipf_exponent, spec_from_json
 from tracecomplexity.cli import main
@@ -166,6 +172,8 @@ BAD_INPUTS = [
     (["analyze", "{tiny}", "--dest-col", "-3"], 1),
     (["analyze", "{tiny}", "--delimiter", ""], 1),
     (["analyze", "{tiny}", "--uniform-mode", "single"], 1),
+    (["analyze", "{tiny}", "--seed", "-1"], 1),
+    (["generate", "--target", "0.5", "0.5", "--seed", "-1", "--output", "{out}"], 1),
     (["analyze", "{latin1}"], 2),
     (["generate", "--spec", "{latin1}", "--output", "{out}"], 2),
     (["analyze", "{huge_id}"], 2),
@@ -178,6 +186,8 @@ BAD_INPUTS = [
     (["generate", "--spec", "{spec_nan}", "--output", "{out}"], 2),
     (["generate", "--spec", "{spec_negative_id}", "--output", "{out}"], 2),
     (["generate", "--spec", "{spec_id_past_n}", "--output", "{out}"], 2),
+    (["generate", "--spec", "{spec_negative_seed}", "--output", "{out}"], 2),
+    (["generate", "--spec", "{spec_negative_stream}", "--output", "{out}"], 2),
     (["analyze", "{tiny}", "--level", "99"], 3),
     (["analyze", "{tiny}", "--compressor", "deflate", "--level", "99"], 3),
     (["analyze", "{tiny}", "--dict-size", "1"], 3),
@@ -190,7 +200,7 @@ def bad_inputs(tmp_path):
     files = {name: tmp_path / name for name in
              ("tiny", "latin1", "huge_id", "partial_report", "list_slices_report",
               "list_report", "spec_by_path", "spec_nan", "spec_negative_id",
-              "spec_id_past_n", "out")}
+              "spec_id_past_n", "spec_negative_seed", "spec_negative_stream", "out")}
     files["tiny"].write_text("a,b\nb,a\nc,d\n")
     files["huge_id"].write_text("a,b\n" + "c" * 200_000 + ",d\n")
     files["latin1"].write_bytes("caf\xe9,b\nb,a\n".encode("latin-1"))
@@ -208,6 +218,11 @@ def bad_inputs(tmp_path):
         files[name].write_text(json.dumps(
             {"schema": "trace-generator-spec/1", "repeat_p": 0.5, "length": 10,
              "matrix": {"cells": cells, "n": 2}}))
+    for name, seed in (("spec_negative_seed", {"seed": -1}),
+                       ("spec_negative_stream", {"seed": 1, "stream": [0, -3]})):
+        files[name].write_text(json.dumps(
+            {"schema": "trace-generator-spec/1", "repeat_p": 0.5, "length": 10, "seed": seed,
+             "matrix": {"cells": [[0, 0, 1.0]], "n": 1}}))
     return {name: str(path) for name, path in files.items()}
 
 
@@ -295,6 +310,29 @@ class TestMatrixCommand:
         assert sorted(cells)[-1] == 1.0 and sum(cells) == 1.0
 
 
+    def test_heatmap_memory_below_a_quarter_of_the_svg(self, tmp_path):
+        """The heatmap is written a row at a time: at 256 IDs the command's
+        peak (numpy reports its buffers to tracemalloc) stays below a
+        quarter of the SVG it writes."""
+        rng = np.random.default_rng(0)
+        ids = np.concatenate([np.arange(256), rng.integers(0, 256, 3000)])
+        trace = tmp_path / "t.csv"
+        trace.write_text("".join(f"h{s},h{d}\n" for s, d in zip(ids, np.roll(ids, 7))))
+        argv = ["matrix", str(trace), "--output", str(tmp_path / "m.csv"),
+                "--svg", str(tmp_path / "m.svg"), "--log-scale"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0  # imports what the command uses before it is measured
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        size = (tmp_path / "m.svg").stat().st_size
+        assert (tmp_path / "m.svg").read_text().count("<rect") == 1 + 256 * 256
+        assert peak < size / 4
+
+
 class TestTopLevel:
     def test_no_command_is_usage_error(self):
         assert main([]) == 1
@@ -305,3 +343,115 @@ class TestTopLevel:
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
         assert "trace-complexity" in capsys.readouterr().out
+
+
+# --- Fuzzing main(argv) ------------------------------------------------------
+
+#: What an input file can hold: traces good and bad, specs, reports, JSON
+#: that is neither, and bytes that are not UTF-8.
+SPEC_DOC = {"schema": "trace-generator-spec/1", "repeat_p": 0.5, "length": 20,
+            "seed": {"seed": 1, "stream": [2]},
+            "matrix": {"n": 2, "cells": [[0, 0, 0.5], [1, 1, 0.5]]}}
+SPEC_MUTATIONS = [("repeat_p", 2.0), ("repeat_p", "x"), ("length", 0), ("length", 1.5),
+                  ("length", None), ("seed", {"seed": -1}), ("seed", {"seed": 1, "stream": [-2]}),
+                  ("seed", {"seed": 1, "stream": "ab"}),
+                  ("name", 5), ("matrix", {"n": 0, "cells": [[0, 0, 1.0]]}),
+                  ("matrix", {"n": 2, "cells": [[0, 0, 0.7]]}),
+                  ("matrix", {"n": 2, "cells": []}), ("matrix", {"n": "two", "cells": []}),
+                  ("matrix", {"n": 2 ** 70, "cells": [[2 ** 66, 0, 1.0]]}),
+                  ("matrix", [1, 2]), ("schema", "other")]
+SPECS = st.one_of(st.just(json.dumps(SPEC_DOC)), st.sampled_from(SPEC_MUTATIONS).map(
+    lambda kv: json.dumps({**SPEC_DOC, kv[0]: kv[1]})))
+TEXT_FILES = st.one_of(
+    st.sampled_from(["a,b\nb,a\nc,d\n", "1,2\n", "src,dst\n3,4\n4,3\n", "", "\n\n",
+                     "a;b\nb;a\n", "\"q\",r\nr,\"q\"\n", "a,,b\n", "a\n", "\u00e9,b\nb,a\n",
+                     "[]", "{}", "{"]),
+    SPECS,
+    st.text(st.sampled_from(list("ab01,;\t \"\r\n\u00e9")), max_size=60),
+)
+FILES = st.one_of(TEXT_FILES.map(str.encode), st.binary(max_size=30))
+
+#: Options of each subcommand: (flag, good values, bad values); a flag
+#: without values is a switch.
+FORMAT_OPTIONS = [("--delimiter", [",", ";", "\t", '"'], ["", "ab"]),
+                  ("--source-col", ["0", "1", "3"], ["-1", "x"]),
+                  ("--dest-col", ["0", "1", "3"], ["-2"]),
+                  ("--skip-rows", ["-1", "0", "1", "5"], ["x"])]
+COMPRESSOR_OPTIONS = [("--compressor", ["deflate", "lzma"], ["zstd"]),
+                      ("--level", ["0", "1", "10", "-1"], ["x"]),
+                      ("--dict-size", ["1", "4096"], ["x"])]
+COMMON = [("--seed", ["0", "7", str(2 ** 70)], ["-1", "x"]), ("--trials", ["1", "2"], ["0"])]
+SWITCH = ([], [])
+OPTIONS = {
+    "analyze": FORMAT_OPTIONS + COMPRESSOR_OPTIONS + COMMON + [
+        ("--uniform-mode", ["auto", "pair", "columnwise"], ["single"]),
+        ("--slices", *SWITCH), ("--name", ["n"], []), ("--output", ["{out}", "{dir}"], [])],
+    "generate": FORMAT_OPTIONS + COMPRESSOR_OPTIONS + COMMON + [
+        ("--n", ["-1", "1", "2", "3", "17"], ["x"]), ("--allow-degenerate", *SWITCH),
+        ("--spec-output", ["{out}.json", "{dir}"], [])],
+    "map": [("--slices", *SWITCH), ("--csv", ["{out}.csv", "{dir}"], [])],
+    "matrix": FORMAT_OPTIONS + [("--log-scale", *SWITCH), ("--svg", ["{out}.svg", "{dir}"], [])],
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """A command line for main and the bytes of its input file ``{in}``.
+    Half the command lines parse; the others may hold any bad value."""
+    parses = draw(st.booleans())
+
+    def value(good, bad=()):
+        return draw(st.sampled_from(list(good) + ([] if parses else list(bad))))
+
+    command = value(sorted(OPTIONS), ["", "--version", "frobnicate"])
+    argv = [command] if command else []
+    data = draw(FILES)
+    if command == "generate":
+        source = value(["--target", "--spec", "--fit"], ["--target --spec"])
+        if "--target" in source:
+            fractions = ["0", "0.3", "0.5", "0.8", "1", "-0.5", "1.5", "nan"]
+            argv += ["--target", value(fractions, ["x"]), value(fractions)]
+        if "--spec" in source:
+            argv += ["--spec", "{in}"]
+            data = draw(st.one_of(SPECS.map(str.encode), st.just(data)))
+        if "--fit" in source:
+            argv += ["--fit", "{in}"]
+        # always a length, so a target never makes the default million entries
+        argv += ["--length", value(["1", "30", "200", "0", "-2"], ["x"])]
+        argv += ["--output", value(["{out}", "{dir}", "{missing}/o"])]
+    elif command == "map":
+        argv += draw(st.lists(st.sampled_from(["{in}", "{report}", "{missing}"]),
+                              min_size=parses, max_size=3))
+        argv += ["--output", value(["{out}.svg", "{dir}"])]
+    elif command in ("analyze", "matrix"):
+        argv.append(value(["{in}", "{in}", "{missing}"]))
+        if command == "matrix":
+            argv += ["--output", value(["{out}", "{dir}"])]
+    if command in OPTIONS:
+        for flag, good, bad in draw(st.lists(st.sampled_from(OPTIONS[command]), max_size=4,
+                                             unique_by=lambda option: option[0])):
+            argv += [flag, value(good, bad)] if good else [flag]
+    if not parses and draw(st.booleans()):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "x", "-"])))
+    return argv, data
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(report_file, tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    return {"in": str(root / "in"), "out": str(root / "out"), "dir": str(root),
+            "missing": str(root / "missing"), "report": str(report_file)}
+
+
+@settings(max_examples=150)
+@given(call=cli_calls())
+def test_fuzz_main_exit_code(fuzz_dir, call):
+    """Whatever the command line and input file, main returns 0, 1, 2 or 3
+    and lets no exception escape."""
+    argv, data = call
+    with open(fuzz_dir["in"], "wb") as fh:
+        fh.write(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([arg.format(**fuzz_dir) for arg in argv])
+    assert code in (0, 1, 2, 3), (argv, data, err.getvalue())

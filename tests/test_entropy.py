@@ -215,6 +215,54 @@ class TestEmpiricalMatrix:
         assert a.cell_dict() == b.cell_dict()
 
 
+def oracle_empirical_matrix(trace: Trace) -> TrafficMatrix:
+    """empirical_matrix as it was before it ranked IDs, kept as its
+    reference: pair codes by ID value, counted by np.unique."""
+    n = trace.id_space.n
+    base = int(max(trace.sources.max(), trace.dests.max())) + 1
+    codes = trace.sources * base + trace.dests
+    uniq, counts = np.unique(codes, return_counts=True)
+    probs = counts / counts.sum()
+    return TrafficMatrix(sources=(uniq // base).astype(np.int64),
+                         dests=(uniq % base).astype(np.int64),
+                         probs=probs.astype(np.float64), n=n)
+
+
+def matrix_arrays(m: TrafficMatrix):
+    return (m.sources.tolist(), m.dests.tolist(), m.probs.tolist(), m.n,
+            m.sources.dtype, m.dests.dtype, m.probs.dtype)
+
+
+class TestEmpiricalMatrixAgainstUnique:
+    """Counting with a table of all pairs (no more pairs than entries) and
+    sorting give the matrix np.unique gave; sparse IDs become their ranks."""
+
+    @given(st.integers(1, 12), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)),
+                                        min_size=1, max_size=200))
+    def test_dense_ids_same_matrix(self, n, pairs):
+        src, dst = np.array([(s % n, d % n) for s, d in pairs], dtype=np.int64).T
+        ids = np.arange(n)  # every ID occurs, as in a parsed or generated trace
+        tr = Trace.from_arrays(np.concatenate([ids, src]), np.concatenate([ids[::-1], dst]))
+        assert matrix_arrays(empirical_matrix(tr)) == matrix_arrays(oracle_empirical_matrix(tr))
+
+    @pytest.mark.parametrize("length", [15, 16, 17], ids=["sorted", "table-exactly", "table"])
+    def test_table_threshold(self, length):
+        ids = np.arange(length) % 4  # 16 pairs
+        tr = Trace.from_arrays(ids, (ids * 3 + 1) % 4)
+        assert matrix_arrays(empirical_matrix(tr)) == matrix_arrays(oracle_empirical_matrix(tr))
+
+    @given(st.lists(st.tuples(st.sampled_from([3, 9, 2 ** 40, 2 ** 62]),
+                              st.sampled_from([0, 9, 2 ** 33])), min_size=1, max_size=40))
+    def test_sparse_ids_by_rank(self, pairs):
+        tr = Trace.from_pairs(pairs)
+        union = tr.id_space.union
+        ranked = Trace.from_arrays(np.searchsorted(union, tr.sources),
+                                   np.searchsorted(union, tr.dests))
+        m = empirical_matrix(tr)
+        assert matrix_arrays(m) == matrix_arrays(oracle_empirical_matrix(ranked))
+        assert m.to_dense().sum() == pytest.approx(1.0)
+
+
 class TestRepeatChainRate:
     def test_p_zero_equals_matrix_entropy(self):
         m = zipf_matrix(16, EXPONENT_AT_Y_04)

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,9 @@ from tracecomplexity import (CompressorHandle, ConfigError, DataError, Generator
                              generate, joint_entropy, model_temporal_ratio,
                              normalized_nontemporal, reference_presets, spec_from_json,
                              spec_from_target, spec_from_trace, spec_to_json,
-                             zipf_matrix)
+                             trace_complexity, write_spec, zipf_matrix)
+from tracecomplexity import generator as generator_module
+from tracecomplexity.entropy import solve_repeat_probability
 
 
 def tv_distance(a: TrafficMatrix, b: TrafficMatrix) -> float:
@@ -136,6 +140,45 @@ class TestSpecFromTrace:
                               seed=RngSeed(4))
         x = model_temporal_ratio(fit.repeat_p, joint_entropy(fit.matrix))
         assert x == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    def test_repeat_p_solved_from_the_analysis_temporal_ratio(self, bursty_trace, deflate,
+                                                             trials):
+        """The fit runs only the original and shuffled compressions, and
+        lands exactly where the full analysis's temporal ratio leads."""
+        fit = spec_from_trace(bursty_trace, trials=trials, compressor=deflate,
+                              seed=RngSeed(4))
+        point = trace_complexity(bursty_trace, deflate, trials=trials, seed=RngSeed(4))
+        h = joint_entropy(empirical_matrix(bursty_trace))
+        assert fit.repeat_p == solve_repeat_probability(min(point.temporal, 1.0), h)
+
+    def test_no_uniform_counterpart_made(self, bursty_trace, deflate):
+        with mock.patch("tracecomplexity.complexity.resample_uniform",
+                        side_effect=AssertionError("uniform counterpart made")):
+            spec_from_trace(bursty_trace, trials=2, compressor=deflate, seed=RngSeed(4))
+
+    def test_needs_a_trial(self, bursty_trace, deflate):
+        with pytest.raises(ValueError, match="at least one randomization trial"):
+            spec_from_trace(bursty_trace, trials=0, compressor=deflate)
+
+    @pytest.mark.parametrize("ids", [(0, 2 ** 40), (5, 7)], ids=["past-int32", "gapped"])
+    def test_sparse_ids(self, ids, deflate):
+        """IDs become their rank among the trace's IDs, so the fitted spec
+        reads back, its matrix densifies and it generates."""
+        a, b = ids
+        tr = Trace.from_pairs([(a, b), (b, a), (a, a)] * 400 + [(b, b)] * 100)
+        fit = spec_from_trace(tr, trials=1, compressor=deflate, seed=RngSeed(1))
+        assert fit.matrix.n == 2
+        assert fit.matrix.cell_dict() == {(0, 0): 400 / 1300, (0, 1): 400 / 1300,
+                                          (1, 0): 400 / 1300, (1, 1): 100 / 1300}
+        back = spec_from_json(spec_to_json(fit))
+        assert back.matrix.cell_dict() == fit.matrix.cell_dict()
+        assert (back.repeat_p, back.length, back.seed) == (fit.repeat_p, fit.length, fit.seed)
+        assert back.matrix.to_dense().tolist() == [[400 / 1300, 400 / 1300],
+                                                   [400 / 1300, 100 / 1300]]
+        regenerated = generate(back)
+        assert len(regenerated) == 1300
+        assert regenerated.id_space.union.tolist() == [0, 1]
 
     def test_constant_trace_pins_p_with_warning(self, deflate):
         tr = Trace.from_pairs([(3, 3)] * 1000)
@@ -364,3 +407,108 @@ class TestAgainstFirstImplementations:
     def test_spec_to_json_zipf_target(self, n):
         spec = spec_from_target(MapTarget(0.6, 0.5, n), length=10, seed=RngSeed(2, (7,)))
         assert spec_to_json(spec) == oracle_spec_to_json(spec)
+
+
+def oracle_spec_from_json_matrix(text: str):
+    """How spec_from_json read a spec's matrix before it built arrays: a
+    dict of (s, d) keys, checked, then TrafficMatrix.from_cells. Returns the
+    matrix's arrays and n, or the exception's type and message."""
+    try:
+        mdoc = json.loads(text)["matrix"]
+        cells = {(int(s), int(d)): float(p) for s, d, p in mdoc["cells"]}
+        n = int(mdoc["n"])
+        for (s, d), p in cells.items():
+            if not math.isfinite(p):
+                raise DataError(f"generator spec cell [{s}, {d}, {p}]: probability is not finite")
+            if not (0 <= s < n and 0 <= d < n):
+                raise DataError(f"generator spec cell [{s}, {d}, {p}]: ID outside 0..{n - 1}")
+        m = TrafficMatrix.from_cells(cells, n=n)
+    except DataError as e:
+        return DataError, str(e)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        return DataError, f"malformed generator spec: {e!r}"
+    return m.sources.tolist(), m.dests.tolist(), m.probs.tolist(), m.n
+
+
+def spec_from_json_matrix(text: str):
+    try:
+        m = spec_from_json(text).matrix
+    except DataError as e:
+        return DataError, str(e)
+    return m.sources.tolist(), m.dests.tolist(), m.probs.tolist(), m.n
+
+
+def spec_text(cells, n) -> str:
+    return json.dumps({"schema": "trace-generator-spec/1", "repeat_p": 0.5, "length": 10,
+                       "matrix": {"cells": cells, "n": n}})
+
+
+CELL_ID = st.one_of(st.integers(-1, 4), st.sampled_from([2 ** 40, "3", 2.5, None]))
+CELL_P = st.one_of(st.sampled_from([0.5, 0.25, 1.0, 0.0, -0.5, float("nan"), float("inf"),
+                                    "0.5", None]), st.floats(0.0, 1.0))
+CELL = st.one_of(st.tuples(CELL_ID, CELL_ID, CELL_P).map(list),
+                 st.sampled_from([[0, 1], [0, 1, 0.5, 9], "ab", 7]))
+DUPLICATES = st.lists(st.sampled_from([[0, 0, 0.5], [0, 0, 0.25], [1, 0, 0.5], [1, 0, 0.75],
+                                       [0, 1, float("nan")], [0, 1, 0.25], [3, 3, 0.5]]),
+                      max_size=6)
+
+
+class TestSpecReaderAgainstCellDict:
+    """spec_from_json builds the matrix the dict of cells built, a later cell
+    of a pair winning, and rejects a spec with the same error."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(st.lists(CELL, max_size=6), DUPLICATES), st.sampled_from([1, 2, 4, 5]))
+    def test_same_matrix_or_error(self, cells, n):
+        text = spec_text(cells, n)
+        assert spec_from_json_matrix(text) == oracle_spec_from_json_matrix(text)
+
+    @pytest.mark.parametrize("cells, want", [
+        ([[0, 1, float("nan")], [0, 0, 0.5], [0, 1, 0.5]], ([0, 0], [0, 1], [0.5, 0.5], 2)),
+        ([[1, 1, 0.5], [0, 0, 0.5], [1, 1, float("nan")]],
+         (DataError, "generator spec cell [1, 1, nan]: probability is not finite")),
+        ([[0, 0, float("nan")], [5, 0, 1.0], [0, 0, 1.0]],
+         (DataError, "generator spec cell [5, 0, 1.0]: ID outside 0..1")),
+    ], ids=["later-finite-wins", "later-nan-wins", "first-bad-pair-named"])
+    def test_duplicates(self, cells, want):
+        text = spec_text(cells, 2)
+        assert spec_from_json_matrix(text) == oracle_spec_from_json_matrix(text) == want
+
+    def test_infinite_id_exits_as_data_error(self):
+        # int() of an infinite float raises OverflowError, which used to escape
+        with pytest.raises(DataError, match="OverflowError"):
+            spec_from_json(spec_text([[0, 0, 1.0]], 1).replace("[0, 0, 1.0]",
+                                                              "[Infinity, 0, 1.0]"))
+
+
+class TestWriteSpec:
+    """write_spec writes the whole document through json.dumps and a
+    newline, a block of cells at a time."""
+
+    @given(matrices(), st.integers(1, 5), st.text())
+    def test_same_bytes_as_json_dumps(self, tmp_path_factory, matrix, cells, name):
+        spec = GeneratorSpec(matrix, 0.25, 10, RngSeed(1, (2,)), name=name)
+        path = tmp_path_factory.getbasetemp() / "spec.json"
+        with mock.patch.object(generator_module, "_SPEC_CELLS", cells):
+            write_spec(spec, path)
+            assert spec_to_json(spec) == oracle_spec_to_json(spec)
+        assert path.read_bytes() == (oracle_spec_to_json(spec) + "\n").encode()
+
+    @pytest.mark.parametrize("cells", [
+        {(0, 1): float("nan")},
+        {(0, 0): 1.0},
+        {(0, 0): 0.0, (0, 1): 1.0, (1, 0): 0.0},
+    ], ids=["nan", "n-1", "zero-cells"])
+    def test_edge_cells(self, tmp_path, cells):
+        n = 1 if list(cells) == [(0, 0)] else 2
+        spec = GeneratorSpec(TrafficMatrix.from_cells(cells, n=n), 1.0, 5, RngSeed(3))
+        with mock.patch.object(generator_module, "_SPEC_CELLS", 2):
+            write_spec(spec, tmp_path / "s.json")
+        assert (tmp_path / "s.json").read_text() == oracle_spec_to_json(spec) + "\n"
+
+    def test_zipf_256_round_trip(self, tmp_path):
+        spec = spec_from_target(MapTarget(0.6, 0.5, 256), length=10, seed=RngSeed(2, (7,)))
+        write_spec(spec, tmp_path / "s.json")
+        text = (tmp_path / "s.json").read_text()
+        assert text == oracle_spec_to_json(spec) + "\n"
+        assert spec_from_json(text).matrix.cell_dict() == spec.matrix.cell_dict()

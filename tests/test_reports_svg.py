@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tracecomplexity import (AnalysisReport, DataError, MapPoint, RngSeed,
                              complexity_map_svg, complexity_of_slices, load_report,
@@ -134,3 +136,99 @@ class TestHeatmap:
         dense[0, 0] = 1.0
         svg = matrix_heatmap_svg(dense)
         assert svg.startswith("<svg")
+
+
+def oracle_heatmap_svg(dense: np.ndarray, log_scale: bool = False, cell: int = 24) -> str:
+    """matrix_heatmap_svg as it was before it wrote a row at a time, kept as
+    its reference: every cell's shade worked out on its own, and every part
+    held until the end."""
+    n_rows, n_cols = dense.shape
+    pad_l, pad_t = 40, 10
+    width = pad_l + n_cols * cell + 10
+    height = pad_t + n_rows * cell + 40
+    vmax = float(dense.max())
+    positive = dense[dense > 0]
+    vmin = float(positive.min()) if positive.size else 0.0
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+    ]
+    for i in range(n_rows):
+        for j in range(n_cols):
+            v = float(dense[i, j])
+            if v <= 0 or vmax <= 0:
+                intensity = 0.0
+            elif log_scale and vmax > vmin:
+                intensity = (math.log10(v) - math.log10(vmin)) / \
+                            (math.log10(vmax) - math.log10(vmin))
+            elif log_scale:
+                intensity = 1.0
+            else:
+                intensity = v / vmax
+            shade = int(round(255 * (1.0 - 0.92 * min(max(intensity, 0.0), 1.0))))
+            color = f"rgb({shade},{shade},255)" if v > 0 else "rgb(255,255,255)"
+            x = pad_l + j * cell
+            y = pad_t + i * cell
+            parts.append(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
+                         f'fill="{color}" stroke="#eeeeee" stroke-width="0.5"/>')
+    parts.append(f'<text x="{pad_l + n_cols * cell / 2:.0f}" y="{height - 12}" font-size="13" '
+                 f'text-anchor="middle" font-family="sans-serif">destination</text>')
+    parts.append(f'<text x="14" y="{pad_t + n_rows * cell / 2:.0f}" font-size="13" '
+                 f'text-anchor="middle" font-family="sans-serif" '
+                 f'transform="rotate(-90 14 {pad_t + n_rows * cell / 2:.0f})">source</text>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def heatmap_outcome(draw, dense, log_scale, cell):
+    """The SVG text, or the exception's type and message."""
+    try:
+        return draw(dense, log_scale, cell)
+    except (ValueError, ZeroDivisionError) as e:
+        return type(e), str(e)
+
+
+CELLS = st.one_of(st.just(0.0), st.floats(1e-300, 1.0),
+                  st.sampled_from([5e-324, 1e-310, 1e-5, 0.5, 1.0, -0.25, float("nan")]))
+
+
+@st.composite
+def grids(draw) -> np.ndarray:
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    values = draw(st.lists(CELLS, min_size=rows * cols, max_size=rows * cols))
+    return np.array(values, dtype=np.float64).reshape(rows, cols)
+
+
+class TestHeatmapAgainstCellLoop:
+    """matrix_heatmap_svg draws what the per-cell loop drew, or fails as it did."""
+
+    @given(grids(), st.booleans(), st.sampled_from([24, 1, 7]))
+    def test_same_svg(self, dense, log_scale, cell):
+        assert heatmap_outcome(matrix_heatmap_svg, dense, log_scale, cell) == \
+            heatmap_outcome(oracle_heatmap_svg, dense, log_scale, cell)
+
+    @pytest.mark.parametrize("log_scale", [False, True], ids=["linear", "log"])
+    @pytest.mark.parametrize("dense", [
+        [[0.25, float("nan")], [0.5, 0.25]],
+        [[1.0]],
+        [[0.0, 0.0], [0.0, 0.0]],
+        [[0.25, 0.25], [0.25, 0.25]],
+        [[0.0, 0.5], [0.0, 0.5]],
+        [[-1.0, 0.0], [0.0, -2.0]],
+    ], ids=["nan-cell", "n-1", "all-zero", "vmax-equals-vmin", "one-positive-value",
+            "negative"])
+    def test_edge_grids(self, dense, log_scale):
+        dense = np.array(dense)
+        assert heatmap_outcome(matrix_heatmap_svg, dense, log_scale, 24) == \
+            heatmap_outcome(oracle_heatmap_svg, dense, log_scale, 24)
+
+    def test_nan_cell_is_white_on_a_log_scale(self):
+        svg = matrix_heatmap_svg(np.array([[0.25, float("nan")]]), log_scale=True)
+        assert svg.count('fill="rgb(255,255,255)"') == 1
+
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_zipf_grid(self, n):
+        dense = zipf_matrix(n, 1.3).to_dense()
+        for log_scale in (False, True):
+            assert matrix_heatmap_svg(dense, log_scale) == oracle_heatmap_svg(dense, log_scale)

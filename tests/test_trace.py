@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from tracecomplexity import (CsvFormat, EmptyTraceError, IdSpace, Trace, TracePa
                              empirical_matrix, encode_canonical, joint_entropy,
                              load_trace, parse_trace, slice_column, write_trace)
 from tracecomplexity import tokenizer
+from tracecomplexity import trace as trace_module
 
 
 def parse_str(text: str, fmt: CsvFormat = CsvFormat(), name: str = "t") -> Trace:
@@ -241,6 +243,38 @@ class TestAgainstCsvLoop:
         with pytest.raises(ValueError):
             CsvFormat(source_column=-1)
 
+    @staticmethod
+    def parse_in_pieces(text: str, chunk: int):
+        """The outcome of parsing ``text`` read ``chunk`` characters at a
+        time, and the pieces the byte tokenizer read."""
+        byte_read = []
+        real = tokenizer._byte_records
+
+        def spy(piece, *args):
+            byte_read.append(piece)
+            return real(piece, *args)
+        with mock.patch.object(tokenizer, "_CHUNK", chunk), \
+                mock.patch.object(tokenizer, "_byte_records", spy):
+            return outcome(parse_trace, text, CsvFormat()), byte_read
+
+    def test_quotes_in_a_middle_piece(self):
+        """csv.reader reads the quoted piece alone; the byte tokenizer reads
+        the pieces before and after it."""
+        text = 'a,b\nc,d\n"e",f\ng,h\ni,j\n'
+        got, byte_read = self.parse_in_pieces(text, 8)
+        assert got == outcome(oracle_parse, text, CsvFormat())
+        assert byte_read == ["a,b\nc,d\n", "g,h\ni,j\n"]
+
+    def test_quoted_field_spans_piece_boundary(self):
+        """A quoted line break at a piece end keeps csv.reader reading into
+        the next piece, quote and all; the stream goes back to the byte
+        tokenizer at the first piece end where a record ends."""
+        text = 'a,b\n"x\ny",z\nc,d\ne,f\n'
+        got, byte_read = self.parse_in_pieces(text, 5)
+        assert got == outcome(oracle_parse, text, CsvFormat())
+        assert got[0] == [0, 2, 4, 6]  # a, "x\ny", c, e
+        assert byte_read == ["a,b\n", "c,d\ne,f\n"]
+
 
 class TestCanonicalIds:
     def test_many_ids_share_encoded_width(self):
@@ -332,6 +366,47 @@ class TestEncodeAgainstDigitLoop:
     def test_random_pairs(self, pairs):
         tr = Trace.from_pairs(pairs)
         assert encode_canonical(tr) == oracle_encode(tr)
+
+
+class TestWriteTraceInBlocks:
+    """write_trace writes, a block of rows at a time, the bytes the
+    per-digit loop renders for the whole trace."""
+
+    @given(st.lists(st.tuples(st.integers(0, 30) | st.integers(0, 10 ** 13 - 1),
+                              st.integers(0, 30)), min_size=1, max_size=60),
+           st.integers(1, 7))
+    def test_same_bytes_as_oracle(self, tmp_path_factory, pairs, rows):
+        tr = Trace.from_pairs(pairs)
+        path = tmp_path_factory.getbasetemp() / "blocks.csv"
+        with mock.patch.object(trace_module, "_WRITE_ROWS", rows):
+            write_trace(tr, path)
+        assert path.read_bytes() == oracle_encode(tr)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 64, 65, 96, 97])
+    def test_last_block_short_or_full(self, tmp_path, length):
+        # blocks of 32 rows; the largest ID is below the length from 64 rows on
+        ids = np.arange(length) % 61
+        tr = Trace.from_arrays(ids, ids[::-1])
+        with mock.patch.object(trace_module, "_WRITE_ROWS", 32):
+            write_trace(tr, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == oracle_encode(tr) == encode_canonical(tr)
+
+    def test_memory_below_a_quarter_of_the_file(self, tmp_path):
+        """numpy reports its buffers to tracemalloc, so a copy of the
+        encoding would show."""
+        rng = np.random.default_rng(3)
+        ids = rng.integers(0, 1000, 200_000)
+        ids[0] = 999  # 3-digit IDs: 8 bytes a row
+        tr = Trace.from_arrays(ids, ids[::-1])
+        tracemalloc.start()
+        try:
+            write_trace(tr, tmp_path / "t.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "t.csv").stat().st_size
+        assert size == 200_000 * 8
+        assert peak < size / 4
 
 
 class TestIdSpaceFromColumns:
