@@ -15,8 +15,8 @@ from .complexity import (ComplexityPoint, CompressorHandle, clear_size_cache,
                          trace_complexity)
 from .entropy import (TrafficMatrix, binary_entropy, empirical_matrix, joint_entropy,
                       model_temporal_ratio, normalized_nontemporal,
-                      repeat_chain_entropy_rate, solve_repeat_probability,
-                      solve_zipf_exponent, zipf_matrix)
+                      repeat_chain_entropy_rate, solve_chain_repeat_probability,
+                      solve_repeat_probability, solve_zipf_exponent, zipf_matrix)
 from .errors import (ConfigError, DataError, EmptyTraceError, SolverError,
                      TraceComplexityError, TraceParseError)
 from .generator import (REFERENCE_TARGETS, GeneratorSpec, MapTarget, generate,
@@ -70,6 +70,7 @@ __all__ = [
     "repeat_chain_entropy_rate",
     "resample_uniform",
     "slice_column",
+    "solve_chain_repeat_probability",
     "solve_repeat_probability",
     "solve_zipf_exponent",
     "spec_from_json",

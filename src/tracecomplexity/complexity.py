@@ -1,7 +1,7 @@
 """Compression-ratio complexity of a trace.
 
 Three ratios locate a trace on the complexity map, all built from compressed
-sizes of the canonical encoding:
+sizes of the canonical pair code (``trace.encode_canonical``):
 
 * temporal  T = C(trace) / mean C(shuffled trace)
 * non-temporal NT = mean C(shuffled) / mean C(uniform counterpart)

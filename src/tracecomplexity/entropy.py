@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .trace import Trace
+from .trace import Trace, pair_codes
 
 PROB_SUM_TOL = 1e-12
 
@@ -124,6 +124,10 @@ def model_temporal_ratio(repeat_p: float, h_matrix: float) -> float:
 def solve_repeat_probability(x_target: float, h_matrix: float, tol: float = 1e-10) -> float:
     """Invert model_temporal_ratio on its decreasing branch.
 
+    The additive ratio is a closed-form upper bound on the exact one;
+    ``solve_chain_repeat_probability`` inverts the exact ratio, which is what
+    the generator solves.
+
     The forward map rises from x(0)=1 to a peak at p_peak = 1/(1+2^H_M) and
     then falls monotonically to x(1)=0; every target in [0, 1] has exactly one
     preimage in [p_peak, 1], found here by bisection until the forward
@@ -222,18 +226,12 @@ def solve_zipf_exponent(n_ids: int, y_target: float, tol: float = 1e-6) -> float
 def empirical_matrix(trace: Trace) -> TrafficMatrix:
     """Pair-frequency matrix of a trace: counts over t.
 
-    Each ID is replaced by its rank among the trace's IDs, so the matrix
-    lives on 0..n-1 whatever the IDs; the IDs of a parsed or generated trace
-    already are 0..n-1 and keep their values. Pairs are counted with a table
-    of all n*n pairs when that is no longer than the trace, else by sorting.
+    Pairs are counted by their ``pair_codes`` number, so the matrix lives on
+    the ranks 0..n-1 of the trace's IDs whatever the IDs. They are counted
+    with a table of all n*n pairs when that is no longer than the trace, else
+    by sorting.
     """
-    ids = trace.id_space.union
-    n = int(ids.size)
-    sources, dests = trace.sources, trace.dests
-    if ids[-1] != n - 1:
-        sources, dests = np.searchsorted(ids, sources), np.searchsorted(ids, dests)
-    codes = sources * n
-    codes += dests
+    codes, n = pair_codes(trace)
     if n * n <= codes.size:
         counts = np.bincount(codes, minlength=n * n)
         pairs = np.flatnonzero(counts)
@@ -257,15 +255,54 @@ def repeat_chain_entropy_rate(matrix: TrafficMatrix, repeat_p: float) -> float:
     if not 0.0 <= repeat_p <= 1.0:
         raise ValueError(f"repeat probability {repeat_p} outside [0, 1]")
     p = repeat_p
-    probs = matrix.probs
     if p == 0.0:
         return joint_entropy(matrix)
+    if p == 1.0:
+        return 0.0  # the first pair repeats forever
+    probs = matrix.probs
+    if probs.min() == 0.0:
+        probs = probs[probs > 0]  # a cell no draw reaches adds no entropy
+    # H(next | prev=z) = -(sum of base terms) + base_z term - bumped_z term.
+    # The solver calls this per bisection step, so the temporaries are reused.
     base = (1.0 - p) * probs          # fresh-draw mass on every cell
-    bumped = base + p                 # the previous pair's cell gets +p
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp_base = np.where(base > 0, base * np.log2(base), 0.0)
-        plogp_bump = np.where(bumped > 0, bumped * np.log2(bumped), 0.0)
-    # H(next | prev=z) = -(sum of base terms) + base_z term - bumped_z term
+    plogp_base = np.log2(base)
+    plogp_base *= base
+    base += p                         # the previous pair's cell gets +p
+    plogp_bump = np.log2(base)
+    plogp_bump *= base
     h_all_base = -plogp_base.sum()
-    h_given = h_all_base + plogp_base - plogp_bump
-    return float((probs * h_given).sum())
+    plogp_base -= plogp_bump
+    plogp_base *= probs
+    return float(h_all_base + plogp_base.sum())
+
+
+def solve_chain_repeat_probability(matrix: TrafficMatrix, x_target: float,
+                                   tol: float = 1e-12) -> float:
+    """Repeat probability at which the chain's exact temporal ratio
+    ``repeat_chain_entropy_rate(matrix, p) / H(matrix)`` equals x_target.
+
+    The ratio is 1 at p = 0, where its slope is 0, and falls monotonically
+    to 0 at p = 1, so plain bisection over [0, 1] inverts it, until the ratio
+    is within ``tol`` of the target. x = 1 gives p = 0 and x = 0 gives p = 1
+    exactly. ``solve_repeat_probability`` inverts the additive bound instead.
+    """
+    h = joint_entropy(matrix)
+    if h <= 0.0:
+        raise SolverError("cannot solve repeat probability for a zero-entropy matrix")
+    if not 0.0 <= x_target <= 1.0:
+        raise SolverError(f"temporal target {x_target} outside [0, 1]")
+    if x_target == 1.0:
+        return 0.0
+    if x_target == 0.0:
+        return 1.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-16:
+        mid = 0.5 * (lo + hi)
+        r = repeat_chain_entropy_rate(matrix, mid) / h - x_target
+        if abs(r) < tol:
+            return mid
+        if r > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -4,9 +4,9 @@ One knob per complexity axis: a traffic matrix M supplies the pair-frequency
 (non-temporal) structure and a repeat probability p supplies the burst
 (temporal) structure. Each step repeats the previous pair with probability p,
 otherwise draws a fresh pair from M; the fresh draw is unconditioned, which
-makes M the chain's exact stationary distribution. Both knobs are solvable in
-closed form from a target point on the complexity map, and fittable from a
-measured trace.
+makes M the chain's exact stationary distribution. Both knobs are solved by
+bisection from a target point on the complexity map, p on the chain's exact
+entropy rate, and fittable from a measured trace.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from typing import Iterator
 import numpy as np
 
 from .complexity import CompressorHandle, _measure_temporal
-from .entropy import (TrafficMatrix, joint_entropy, solve_repeat_probability,
-                      solve_zipf_exponent, zipf_matrix, empirical_matrix)
+from .entropy import (TrafficMatrix, empirical_matrix, joint_entropy,
+                      solve_chain_repeat_probability, solve_zipf_exponent, zipf_matrix)
 from .errors import ConfigError, DataError, SolverError
 from .trace import Trace
 from .transforms import RngSeed
@@ -109,10 +109,10 @@ def spec_from_target(target: MapTarget,
     """Solve the matrix and repeat probability for a target map point.
 
     The Zipf exponent is solved so the matrix's normalized entropy equals y,
-    then the repeat probability is solved so the model's temporal ratio
-    equals x. y=0 has no Zipf solution; pass allow_degenerate=True to accept
-    a single-pair matrix (whose temporal ratio is undefined, so p is pinned
-    to 1).
+    then the repeat probability is solved so the chain's exact temporal ratio
+    (its entropy rate over the matrix's entropy) equals x. y=0 has no Zipf
+    solution; pass allow_degenerate=True to accept a single-pair matrix
+    (whose temporal ratio is undefined, so p is pinned to 1).
     """
     if target.y == 0.0:
         if not allow_degenerate:
@@ -125,7 +125,7 @@ def spec_from_target(target: MapTarget,
                              name=name or "degenerate")
     exponent = solve_zipf_exponent(target.n_ids, target.y)
     matrix = zipf_matrix(target.n_ids, exponent)
-    repeat_p = solve_repeat_probability(target.x, joint_entropy(matrix))
+    repeat_p = solve_chain_repeat_probability(matrix, target.x)
     return GeneratorSpec(matrix=matrix, repeat_p=repeat_p, length=length, seed=seed,
                          name=name or f"target({target.x:g},{target.y:g})",
                          zipf_exponent=exponent)
@@ -138,9 +138,9 @@ def spec_from_trace(trace: Trace,
     """Fit a spec to a measured trace.
 
     The matrix is the trace's own pair-frequency matrix; the repeat
-    probability is solved from the measured temporal ratio, so a regenerated
-    trace lands near the original on the complexity map. Length defaults to
-    the original's.
+    probability is solved so the chain's exact temporal ratio equals the
+    measured one, so a regenerated trace lands near the original on the
+    complexity map. Length defaults to the original's.
     """
     matrix = empirical_matrix(trace)
     h = joint_entropy(matrix)
@@ -154,7 +154,7 @@ def spec_from_trace(trace: Trace,
                 f"measured temporal ratio {measured:.4f} exceeds 1 (compressor "
                 f"noise); solving with 1.0")
             measured = 1.0
-        repeat_p = solve_repeat_probability(measured, h)
+        repeat_p = solve_chain_repeat_probability(matrix, measured)
     return GeneratorSpec(matrix=matrix, repeat_p=repeat_p, length=len(trace),
                          seed=seed, name=f"fit:{trace.name}")
 

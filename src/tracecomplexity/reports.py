@@ -17,7 +17,10 @@ from .errors import DataError
 from .trace import Trace
 from .transforms import RngSeed
 
-REPORT_SCHEMA = "trace-complexity-report/1"
+#: Version 2 measures compressed sizes of the dense pair code
+#: (``encode_canonical``); version 1 measured fixed-width decimal text.
+REPORT_SCHEMA = "trace-complexity-report/2"
+_TEXT_ENCODING_SCHEMA = "trace-complexity-report/1"
 
 
 @dataclass(frozen=True)
@@ -81,6 +84,11 @@ class AnalysisReport:
         except json.JSONDecodeError as e:
             raise DataError(f"malformed report JSON: {e}")
         try:
+            if doc.get("schema") == _TEXT_ENCODING_SCHEMA:
+                raise DataError(
+                    f"report schema {_TEXT_ENCODING_SCHEMA!r} was measured on the old "
+                    f"text encoding, so its ratios cannot be compared with "
+                    f"{REPORT_SCHEMA!r} ones; re-analyse the trace")
             if doc.get("schema") != REPORT_SCHEMA:
                 raise DataError(
                     f"not a trace-complexity report (schema {doc.get('schema')!r})")

@@ -2,10 +2,12 @@
 
 A trace is an ordered sequence of (source, destination) endpoint-ID pairs.
 Raw IDs from a file are relabeled to dense integers 0..k-1 in first-occurrence
-order, so every ID renders at the same byte width regardless of how the
-original identifiers looked. The canonical encoding is fixed-width zero-padded
-decimal text, one ``src,dst`` record per line; it is bit-exact across runs and
-is what the compression stage consumes.
+order. The canonical encoding, which the compression stage consumes, is a
+dense pair code: each entry is the number rank(src)*n + rank(dst) over the n
+IDs of the trace's ID space, in the fewest whole big-endian bytes that hold
+n*n - 1. It is bit-exact across runs. ``write_trace`` writes the trace as
+fixed-width zero-padded decimal text instead, one ``src,dst`` record per
+line, which ``parse_trace`` reads back.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ def _render_fixed_width(values: np.ndarray, width: int, out: np.ndarray) -> None
 
 
 #: Rows ``write_trace`` renders and writes at a time: 256 KB of text at
-#: 3-digit IDs, so a write needs no copy of the whole encoding.
+#: 3-digit IDs, so a write needs no copy of the whole text.
 _WRITE_ROWS = 1 << 15
 
 
@@ -178,7 +180,7 @@ def _row_encoder(trace: Trace):
 
     The field width is the digit count of the largest canonical ID. When that
     ID is below the trace length, each ID value is rendered once into a
-    table that is never larger than the trace's encoding, and a block copies
+    table that is never larger than the trace's text, and a block copies
     its digits in as one width-byte item per field.
     """
     max_id = int(max(trace.sources.max(), trace.dests.max()))
@@ -206,17 +208,44 @@ def _row_encoder(trace: Trace):
     return encode
 
 
-def encode_canonical(trace: Trace) -> bytes:
-    """Render a trace as fixed-width decimal text, ``src,dst\\n`` per entry.
+def pair_codes(trace: Trace) -> tuple[np.ndarray, int]:
+    """Each entry's pair as the int64 number rank(src)*n + rank(dst), and n.
 
-    The field width is the digit count of the largest canonical ID, so every
-    record occupies exactly 2*width + 2 bytes. Output is deterministic.
+    A rank is the ID's position in the trace's ID union, so the codes lie in
+    0..n*n-1 whatever the IDs; the IDs of a parsed or generated trace already
+    are 0..n-1 and keep their values.
     """
-    return _row_encoder(trace)(0, len(trace)).tobytes()
+    ids = trace.id_space.union
+    n = int(ids.size)
+    sources, dests = trace.sources, trace.dests
+    if ids[-1] != n - 1:
+        sources, dests = np.searchsorted(ids, sources), np.searchsorted(ids, dests)
+    codes = sources * n
+    codes += dests
+    return codes, n
+
+
+def encode_canonical(trace: Trace) -> bytes:
+    """The bytes compression measures: each entry's ``pair_codes`` number,
+    big-endian, in the fewest whole bytes that hold n*n - 1.
+
+    That is 1 byte per entry at n <= 16, 2 bytes up to 256 and 3 up to 4096.
+    The width depends on the ID space alone, so a trace and its shuffled and
+    uniform counterparts are encoded alike. Output is deterministic.
+    """
+    codes, n = pair_codes(trace)
+    width = max(1, ((n * n - 1).bit_length() + 7) // 8)
+    item = 1 << (width - 1).bit_length()  # the numpy word that holds width bytes
+    words = codes.astype(f">u{item}").view(np.uint8).reshape(-1, item)
+    return words[:, item - width:].tobytes()
 
 
 def write_trace(trace: Trace, path) -> None:
-    """Write the canonical encoding to a file (it parses back via parse_trace).
+    """Write the trace as fixed-width decimal text, ``src,dst\\n`` per entry
+    (it parses back via parse_trace).
+
+    The field width is the digit count of the largest canonical ID, so every
+    record occupies exactly 2*width + 2 bytes.
 
     Rows are rendered and written a block at a time, so the file's bytes are
     never held whole.

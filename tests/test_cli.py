@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from tracecomplexity import entropy, load_report, solve_zipf_exponent, spec_from_json
 from tracecomplexity.cli import main
+from tracecomplexity.reports import REPORT_SCHEMA
 
 GEN = ["generate", "--target", "0.4", "0.4", "--n", "16", "--length", "20000",
        "--seed", "3"]
@@ -36,14 +37,14 @@ class TestGenerate:
         assert trace_file.exists()
         spec = spec_from_json((trace_file.parent / "t.csv.spec.json").read_text())
         assert spec.length == 20000
-        assert spec.repeat_p == pytest.approx(0.8155, abs=1e-3)
+        assert spec.repeat_p == pytest.approx(0.7570, abs=1e-3)
 
     def test_prints_solved_parameters(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
         assert main(GEN + ["--output", str(out)]) == 0
         printed = capsys.readouterr().out
         assert f"zipf exponent: {solve_zipf_exponent(16, 0.4):.6f}\n" in printed
-        assert "repeat probability: 0.815542" in printed
+        assert "repeat probability: 0.757003" in printed
 
     def test_zipf_exponent_solved_once(self, tmp_path, monkeypatch):
         """The printed exponent comes from the solve that built the spec."""
@@ -204,9 +205,9 @@ def bad_inputs(tmp_path):
     files["tiny"].write_text("a,b\nb,a\nc,d\n")
     files["huge_id"].write_text("a,b\n" + "c" * 200_000 + ",d\n")
     files["latin1"].write_bytes("caf\xe9,b\nb,a\n".encode("latin-1"))
-    files["partial_report"].write_text('{"schema": "trace-complexity-report/1"}')
+    files["partial_report"].write_text(json.dumps({"schema": REPORT_SCHEMA}))
     files["list_slices_report"].write_text(json.dumps(
-        {"schema": "trace-complexity-report/1", "slices": [1]}))
+        {"schema": REPORT_SCHEMA, "slices": [1]}))
     files["list_report"].write_text("[]")
     (tmp_path / "m.csv").write_text("source,destination,probability\n0,1,1.0\n")
     files["spec_by_path"].write_text(json.dumps(
@@ -287,6 +288,20 @@ class TestMapCommand:
 
     def test_zero_reports_usage_error(self, tmp_path):
         assert main(["map", "--output", str(tmp_path / "m.svg")]) == 1
+
+    def test_text_encoding_report_refused(self, report_file, tmp_path, capsys):
+        """A version 1 report measured the old text encoding, so its ratios
+        are not comparable with version 2 ones."""
+        doc = json.loads(report_file.read_text())
+        assert doc["schema"] == "trace-complexity-report/2"
+        doc["schema"] = "trace-complexity-report/1"
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        assert main(["map", str(old), "--output", str(tmp_path / "m.svg")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "old text encoding" in err and "re-analyse" in err
+        assert not (tmp_path / "m.svg").exists()
 
 
 class TestMatrixCommand:

@@ -15,8 +15,8 @@ from tracecomplexity import (GeneratorSpec, RngSeed, SolverError, Trace, Traffic
                              binary_entropy, empirical_matrix, generate, joint_entropy,
                              model_temporal_ratio, normalized_nontemporal,
                              repeat_chain_entropy_rate, resample_uniform,
-                             solve_repeat_probability, solve_zipf_exponent,
-                             temporal_shuffle, zipf_matrix)
+                             solve_chain_repeat_probability, solve_repeat_probability,
+                             solve_zipf_exponent, temporal_shuffle, zipf_matrix)
 
 # Normalized joint entropy of the 256-cell Zipf matrix at pmf exponent 5/3,
 # by direct summation (the matrix whose normalized entropy is ~0.4095).
@@ -290,6 +290,78 @@ class TestRepeatChainRate:
         m = zipf_matrix(16, 1.0)
         rates = [repeat_chain_entropy_rate(m, p) for p in (0.0, 0.3, 0.6, 0.9)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
+
+
+def oracle_chain_rate(matrix: TrafficMatrix, p: float) -> float:
+    """The chain's entropy rate by direct summation: for each previous cell
+    z, the entropy of the next-pair distribution (1-p)*M + p*delta_z."""
+    probs = matrix.probs
+    rate = 0.0
+    for z, weight in enumerate(probs):
+        nxt = (1.0 - p) * probs
+        nxt[z] += p
+        nxt = nxt[nxt > 0]
+        rate += weight * float(-(nxt * np.log2(nxt)).sum())
+    return rate
+
+
+class TestChainRateAgainstDirectSum:
+    @pytest.mark.parametrize("p", [0.0, 1e-9, 0.1, 0.5, 0.9, 1 - 1e-9, 1.0])
+    def test_zipf(self, p):
+        m = zipf_matrix(6, 1.3)
+        assert repeat_chain_entropy_rate(m, p) == pytest.approx(oracle_chain_rate(m, p),
+                                                                abs=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.8, 1.0])
+    def test_cells_of_zero_probability(self, p):
+        m = TrafficMatrix(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
+                          np.array([0.5, 0.0, 0.25, 0.25]), 2)
+        assert repeat_chain_entropy_rate(m, p) == pytest.approx(oracle_chain_rate(m, p),
+                                                                abs=1e-12)
+
+
+ZIPF_CASES = [(n, e) for n in (2, 16, 256) for e in (0.0, 1.2)]
+
+
+class TestSolveChainRepeatProbability:
+    """The generator's solver inverts the exact ratio rate(M, p) / H(M)."""
+
+    @pytest.mark.parametrize("n, exponent", ZIPF_CASES,
+                             ids=[f"n{n}-s{e}" for n, e in ZIPF_CASES])
+    def test_round_trip_on_a_grid(self, n, exponent):
+        m = zipf_matrix(n, exponent)
+        h = joint_entropy(m)
+        for x in np.linspace(0.0, 1.0, 21):
+            p = solve_chain_repeat_probability(m, float(x))
+            assert repeat_chain_entropy_rate(m, p) / h == pytest.approx(float(x), abs=1e-9)
+
+    def test_endpoints_exact(self):
+        m = zipf_matrix(16, 1.0)
+        assert solve_chain_repeat_probability(m, 1.0) == 0.0
+        assert solve_chain_repeat_probability(m, 0.0) == 1.0
+
+    def test_decreasing_in_x(self):
+        m = zipf_matrix(16, 1.0)
+        ps = [solve_chain_repeat_probability(m, x) for x in (0.2, 0.5, 0.9, 0.999)]
+        assert ps[0] > ps[1] > ps[2] > ps[3] > 0.0
+
+    def test_below_the_additive_solution(self):
+        # the exact rate lies under the additive bound at every p, so the
+        # exact ratio falls to a target at a smaller p
+        m = zipf_matrix(16, 1.0)
+        assert solve_chain_repeat_probability(m, 0.4) < \
+            solve_repeat_probability(0.4, joint_entropy(m))
+
+    def test_x_out_of_range(self):
+        m = zipf_matrix(4, 1.0)
+        for x in (1.2, -0.1):
+            with pytest.raises(SolverError):
+                solve_chain_repeat_probability(m, x)
+
+    def test_zero_entropy_rejected(self):
+        m = TrafficMatrix.from_cells({(0, 0): 1.0}, n=4)
+        with pytest.raises(SolverError):
+            solve_chain_repeat_probability(m, 0.5)
 
 
 def test_generated_trace_matches_rate_oracle():

@@ -15,12 +15,17 @@ from hypothesis import strategies as st
 from tracecomplexity import (CompressorHandle, ConfigError, DataError, GeneratorSpec,
                              IdSpace, MapTarget, REFERENCE_TARGETS, RngSeed, SolverError, Trace,
                              TrafficMatrix, empirical_matrix, encode_canonical,
-                             generate, joint_entropy, model_temporal_ratio,
-                             normalized_nontemporal, reference_presets, spec_from_json,
+                             generate, joint_entropy, normalized_nontemporal,
+                             reference_presets, repeat_chain_entropy_rate,
+                             solve_chain_repeat_probability, spec_from_json,
                              spec_from_target, spec_from_trace, spec_to_json,
                              trace_complexity, write_spec, zipf_matrix)
 from tracecomplexity import generator as generator_module
-from tracecomplexity.entropy import solve_repeat_probability
+
+
+def exact_ratio(spec: GeneratorSpec) -> float:
+    """The chain's exact temporal ratio, which the generator solves for."""
+    return repeat_chain_entropy_rate(spec.matrix, spec.repeat_p) / joint_entropy(spec.matrix)
 
 
 def tv_distance(a: TrafficMatrix, b: TrafficMatrix) -> float:
@@ -88,20 +93,21 @@ class TestStationarity:
 
 
 class TestSpecFromTarget:
+    # A temporal target of 1 is the iid chain: the exact ratio is 1 at p = 0
+    # alone, where the additive bound needed p > 0 to come back down to 1.
     def test_uniform_corner(self):
         spec = spec_from_target(MapTarget(1.0, 1.0, 16), length=1000, seed=RngSeed(0))
         assert np.allclose(spec.matrix.probs, 1 / 256, atol=1e-12)
-        assert spec.repeat_p == pytest.approx(0.010562162686878603, abs=1e-6)
+        assert spec.repeat_p == 0.0
 
     def test_skewed_corner(self):
         spec = spec_from_target(MapTarget(1.0, 0.4, 16), length=1000, seed=RngSeed(0))
         assert normalized_nontemporal(spec.matrix) == pytest.approx(0.4, abs=1e-6)
-        assert spec.repeat_p == pytest.approx(0.2568719668128041, abs=1e-6)
+        assert spec.repeat_p == 0.0
 
     def test_forward_model_consistency(self):
         spec = spec_from_target(MapTarget(0.4, 0.4, 16), length=1000, seed=RngSeed(0))
-        h = joint_entropy(spec.matrix)
-        assert model_temporal_ratio(spec.repeat_p, h) == pytest.approx(0.4, abs=1e-8)
+        assert exact_ratio(spec) == pytest.approx(0.4, abs=1e-9)
 
     def test_degenerate_requires_flag(self):
         with pytest.raises(SolverError, match="degenerate"):
@@ -138,19 +144,20 @@ class TestSpecFromTrace:
     def test_iid_trace_fits_near_x_one_root(self, uniform_trace, deflate):
         fit = spec_from_trace(uniform_trace, trials=2, compressor=deflate,
                               seed=RngSeed(4))
-        x = model_temporal_ratio(fit.repeat_p, joint_entropy(fit.matrix))
-        assert x == pytest.approx(1.0, abs=0.05)
+        assert exact_ratio(fit) == pytest.approx(1.0, abs=0.05)
 
     @pytest.mark.parametrize("trials", [1, 3])
     def test_repeat_p_solved_from_the_analysis_temporal_ratio(self, bursty_trace, deflate,
                                                              trials):
         """The fit runs only the original and shuffled compressions, and
-        lands exactly where the full analysis's temporal ratio leads."""
+        lands exactly where the full analysis's temporal ratio leads on the
+        exact chain rate."""
         fit = spec_from_trace(bursty_trace, trials=trials, compressor=deflate,
                               seed=RngSeed(4))
         point = trace_complexity(bursty_trace, deflate, trials=trials, seed=RngSeed(4))
-        h = joint_entropy(empirical_matrix(bursty_trace))
-        assert fit.repeat_p == solve_repeat_probability(min(point.temporal, 1.0), h)
+        matrix = empirical_matrix(bursty_trace)
+        assert fit.repeat_p == solve_chain_repeat_probability(matrix, min(point.temporal, 1.0))
+        assert exact_ratio(fit) == pytest.approx(point.temporal, abs=1e-9)
 
     def test_no_uniform_counterpart_made(self, bursty_trace, deflate):
         with mock.patch("tracecomplexity.complexity.resample_uniform",
@@ -203,8 +210,9 @@ class TestReferencePresets:
         assert np.allclose(presets["uniform"].matrix.probs, 1 / 256)
         assert presets["skewed"].matrix.cell_dict() == \
             presets["skewed_bursty"].matrix.cell_dict()
-        assert presets["bursty"].repeat_p == pytest.approx(0.7087856, abs=1e-5)
-        assert presets["skewed_bursty"].repeat_p == pytest.approx(0.8155419, abs=1e-5)
+        assert presets["uniform"].repeat_p == presets["skewed"].repeat_p == 0.0
+        assert presets["bursty"].repeat_p == pytest.approx(0.7074656, abs=1e-5)
+        assert presets["skewed_bursty"].repeat_p == pytest.approx(0.7570032, abs=1e-5)
 
     def test_presets_use_distinct_seed_streams(self):
         presets = reference_presets(length=1000)

@@ -1,4 +1,5 @@
-"""Trace parsing, canonical IDs, the byte encoding, and column slices."""
+"""Trace parsing, canonical IDs, the text and pair-code encodings, and
+column slices."""
 
 from __future__ import annotations
 
@@ -15,12 +16,20 @@ from hypothesis import strategies as st
 from tracecomplexity import (CsvFormat, EmptyTraceError, IdSpace, Trace, TraceParseError,
                              empirical_matrix, encode_canonical, joint_entropy,
                              load_trace, parse_trace, slice_column, write_trace)
-from tracecomplexity import tokenizer
+from tracecomplexity import (RngSeed, default_uniform_mode, resample_uniform,
+                             temporal_shuffle, tokenizer)
 from tracecomplexity import trace as trace_module
 
 
 def parse_str(text: str, fmt: CsvFormat = CsvFormat(), name: str = "t") -> Trace:
     return parse_trace(io.StringIO(text), fmt, name=name)
+
+
+def written(trace: Trace, tmp_path_factory) -> bytes:
+    """The bytes write_trace writes for ``trace``."""
+    path = tmp_path_factory.getbasetemp() / "written.csv"
+    write_trace(trace, path)
+    return path.read_bytes()
 
 
 class TestParse:
@@ -277,45 +286,47 @@ class TestAgainstCsvLoop:
 
 
 class TestCanonicalIds:
-    def test_many_ids_share_encoded_width(self):
+    def test_many_ids_share_encoded_width(self, tmp_path_factory):
         rows = "".join(f"h{i},h{i}\n" for i in range(300))
         tr = parse_str(rows)
-        data = encode_canonical(tr)
+        data = written(tr, tmp_path_factory)
         # max canonical ID is 299 -> width 3 -> 8 bytes per record
         assert len(data) == 300 * 8
         assert data.splitlines()[0] == b"000,000"
 
 
 class TestEncode:
-    def test_single_digit(self):
+    """write_trace's text: fixed-width zero-padded decimal, ``src,dst\\n``."""
+
+    def test_single_digit(self, tmp_path_factory):
         tr = Trace.from_pairs([(0, 1), (1, 0)])
-        assert encode_canonical(tr) == b"0,1\n1,0\n"
+        assert written(tr, tmp_path_factory) == b"0,1\n1,0\n"
 
-    def test_zero_padding(self):
+    def test_zero_padding(self, tmp_path_factory):
         tr = Trace.from_pairs([(0, 10)])
-        assert encode_canonical(tr) == b"00,10\n"
+        assert written(tr, tmp_path_factory) == b"00,10\n"
 
-    def test_deterministic(self):
+    def test_deterministic(self, tmp_path_factory):
         tr = Trace.from_pairs([(3, 1), (2, 9), (0, 0)])
-        assert encode_canonical(tr) == encode_canonical(tr)
+        assert written(tr, tmp_path_factory) == written(tr, tmp_path_factory)
 
-    def test_record_width(self):
+    def test_record_width(self, tmp_path_factory):
         tr = Trace.from_pairs([(123, 4), (5, 6)])
-        data = encode_canonical(tr)
+        data = written(tr, tmp_path_factory)
         assert len(data) == 2 * (2 * 3 + 2)
         assert data == b"123,004\n005,006\n"
 
     @given(st.lists(st.tuples(st.integers(0, 999), st.integers(0, 999)),
                     min_size=1, max_size=60))
-    def test_parse_encode_parse_identity(self, pairs):
+    def test_parse_encode_parse_identity(self, tmp_path_factory, pairs):
         first = parse_str("".join(f"{s},{d}\n" for s, d in pairs))
-        again = parse_str(encode_canonical(first).decode())
+        again = parse_str(written(first, tmp_path_factory).decode())
         assert first.sources.tolist() == again.sources.tolist()
         assert first.dests.tolist() == again.dests.tolist()
 
 
 def oracle_encode(trace: Trace) -> bytes:
-    """encode_canonical as first written, kept as its reference: one
+    """write_trace's text as first written, kept as its reference: one
     remainder and one division over each column per digit."""
     max_id = int(max(trace.sources.max(), trace.dests.max()))
     width = len(str(max_id))
@@ -331,12 +342,12 @@ def oracle_encode(trace: Trace) -> bytes:
 
 
 class TestEncodeAgainstDigitLoop:
-    """encode_canonical renders what the per-digit loop rendered, whether it
+    """write_trace renders what the per-digit loop rendered, whether it
     gathers from a table of rendered IDs (largest ID below the length) or
     renders the columns directly."""
 
     @pytest.mark.parametrize("width", range(1, 14))
-    def test_every_width(self, width):
+    def test_every_width(self, tmp_path_factory, width):
         rng = np.random.default_rng(width)
         top = 10 ** width - 1
         ids = np.concatenate([[0, 10 ** (width - 1), top], rng.integers(0, top + 1, 97)])
@@ -346,26 +357,27 @@ class TestEncodeAgainstDigitLoop:
             cases[-1][0] = top
         for column in cases:
             tr = Trace.from_arrays(column, np.roll(column, 1))
-            assert encode_canonical(tr) == oracle_encode(tr)
+            assert written(tr, tmp_path_factory) == oracle_encode(tr)
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["table-one-short", "table-exactly"])
-    def test_table_threshold(self, extra):
+    def test_table_threshold(self, tmp_path_factory, extra):
         # largest ID 99, so the table has 100 rows; the trace has 99 or 100 entries
         ids = np.arange(99 + extra) % 100
         ids[-1] = 99
         tr = Trace.from_arrays(ids, ids[::-1])
-        assert encode_canonical(tr) == oracle_encode(tr)
+        assert written(tr, tmp_path_factory) == oracle_encode(tr)
 
-    def test_sparse_id_next_to_zero(self):
+    def test_sparse_id_next_to_zero(self, tmp_path_factory):
         tr = Trace.from_pairs([(0, 2 ** 40), (2 ** 40, 0), (0, 0)])
-        assert encode_canonical(tr) == oracle_encode(tr)
-        assert encode_canonical(tr)[:28] == b"0000000000000,1099511627776\n"
+        data = written(tr, tmp_path_factory)
+        assert data == oracle_encode(tr)
+        assert data[:28] == b"0000000000000,1099511627776\n"
 
     @given(st.lists(st.tuples(st.integers(0, 30) | st.integers(0, 10 ** 13 - 1),
                               st.integers(0, 30)), min_size=1, max_size=60))
-    def test_random_pairs(self, pairs):
+    def test_random_pairs(self, tmp_path_factory, pairs):
         tr = Trace.from_pairs(pairs)
-        assert encode_canonical(tr) == oracle_encode(tr)
+        assert written(tr, tmp_path_factory) == oracle_encode(tr)
 
 
 class TestWriteTraceInBlocks:
@@ -389,7 +401,7 @@ class TestWriteTraceInBlocks:
         tr = Trace.from_arrays(ids, ids[::-1])
         with mock.patch.object(trace_module, "_WRITE_ROWS", 32):
             write_trace(tr, tmp_path / "t.csv")
-        assert (tmp_path / "t.csv").read_bytes() == oracle_encode(tr) == encode_canonical(tr)
+        assert (tmp_path / "t.csv").read_bytes() == oracle_encode(tr)
 
     def test_memory_below_a_quarter_of_the_file(self, tmp_path):
         """numpy reports its buffers to tracemalloc, so a copy of the
@@ -407,6 +419,95 @@ class TestWriteTraceInBlocks:
         size = (tmp_path / "t.csv").stat().st_size
         assert size == 200_000 * 8
         assert peak < size / 4
+
+
+def decode_pair_code(data: bytes, n: int) -> tuple[list[int], list[int]]:
+    """Split encode_canonical's fixed-width big-endian words back into
+    (rank(src), rank(dst)) pairs, one Python int at a time."""
+    width = max(1, ((n * n - 1).bit_length() + 7) // 8)
+    assert len(data) % width == 0
+    codes = [int.from_bytes(data[i:i + width], "big") for i in range(0, len(data), width)]
+    return [c // n for c in codes], [c % n for c in codes]
+
+
+def ranks(trace: Trace, column: np.ndarray) -> list[int]:
+    return np.searchsorted(trace.id_space.union, column).tolist()
+
+
+#: n -> bytes per entry: the fewest whole bytes that hold n*n - 1.
+PAIR_CODE_WIDTHS = {1: 1, 2: 1, 16: 1, 17: 2, 256: 2, 257: 3, 3040: 3}
+
+
+class TestPairCode:
+    """encode_canonical, the bytes compression reads: rank(src)*n + rank(dst)
+    in the fewest whole big-endian bytes that hold n*n - 1."""
+
+    @given(st.sampled_from(sorted(PAIR_CODE_WIDTHS)), st.integers(0, 2 ** 32 - 1),
+           st.integers(0, 200), st.booleans())
+    def test_decodes_to_ranks(self, n, seed, extra, sparse):
+        rng = np.random.default_rng(seed)
+        # every ID occurs, so the ID space has exactly n IDs
+        src = np.concatenate([rng.permutation(n), rng.integers(0, n, extra)])
+        dst = np.concatenate([rng.permutation(n), rng.integers(0, n, extra)])
+        if sparse:  # IDs spread up to 2**40: ranks differ from the IDs
+            ids = np.arange(n, dtype=np.int64) * ((2 ** 40) // n) + 3
+            src, dst = ids[src], ids[dst]
+        tr = Trace.from_arrays(src, dst)
+        assert tr.id_space.n == n
+        data = encode_canonical(tr)
+        assert len(data) == len(tr) * PAIR_CODE_WIDTHS[n]
+        assert decode_pair_code(data, n) == (ranks(tr, tr.sources), ranks(tr, tr.dests))
+
+    def test_dense_ids_keep_their_values(self):
+        tr = Trace.from_pairs([(0, 1), (2, 0), (1, 2)])
+        assert encode_canonical(tr) == bytes([0 * 3 + 1, 2 * 3 + 0, 1 * 3 + 2])
+
+    def test_sparse_ids_past_int32(self):
+        tr = Trace.from_pairs([(0, 2 ** 40), (2 ** 40, 0), (0, 0), (2 ** 40, 2 ** 40)])
+        assert encode_canonical(tr) == bytes([1, 2, 0, 3])
+
+    def test_two_and_three_byte_words_big_endian(self):
+        big = Trace.from_arrays(np.arange(257), np.arange(257)[::-1])
+        assert encode_canonical(big)[:6] == (0 * 257 + 256).to_bytes(3, "big") + \
+            (1 * 257 + 255).to_bytes(3, "big")
+        mid = Trace.from_arrays(np.arange(17), np.arange(17)[::-1])
+        assert encode_canonical(mid)[-2:] == (16 * 17 + 0).to_bytes(2, "big")
+
+    @pytest.mark.parametrize("which", ["source", "destination"])
+    def test_slices_rank_in_the_parent_union(self, which):
+        # the destination column uses IDs 5..7 only, but ranks among all 8
+        rng = np.random.default_rng(4)
+        tr = Trace.from_arrays(rng.integers(0, 5, 300), rng.integers(5, 8, 300))
+        tr = Trace.from_arrays(np.append(tr.sources, 4), np.append(tr.dests, 7))
+        sl = slice_column(tr, which)
+        column = tr.sources if which == "source" else tr.dests
+        assert decode_pair_code(encode_canonical(sl), 8) == (ranks(tr, column),) * 2
+
+    @pytest.mark.parametrize("mode", ["pair", "columnwise", "single"])
+    @pytest.mark.parametrize("n", [16, 17, 256, 257])
+    def test_counterparts_share_the_width(self, mode, n):
+        """The width comes from the ID space, which the transforms keep, so a
+        counterpart is encoded at its trace's width whichever IDs it draws."""
+        rng = np.random.default_rng(n)
+        half = n // 2
+        if mode == "columnwise":  # the columns use disjoint halves of the IDs
+            src, dst = rng.integers(0, half, 2000), rng.integers(half, n, 2000)
+            src[:half], dst[:n - half] = np.arange(half), np.arange(half, n)
+        else:
+            src, dst = rng.integers(0, n, 2000), rng.integers(0, n, 2000)
+            src[:n] = np.arange(n)
+        tr = Trace.from_arrays(src, dst)
+        assert tr.id_space.n == n
+        if mode == "single":
+            tr = slice_column(tr, "source")
+        else:
+            assert default_uniform_mode(tr) == mode
+        width = len(encode_canonical(tr)) // len(tr)
+        assert width == PAIR_CODE_WIDTHS[n]
+        for k in range(3):
+            for other in (temporal_shuffle(tr, RngSeed(k)),
+                          resample_uniform(tr, RngSeed(k), mode)):
+                assert len(encode_canonical(other)) == width * len(tr)
 
 
 class TestIdSpaceFromColumns:
