@@ -276,14 +276,14 @@ def repeat_chain_entropy_rate(matrix: TrafficMatrix, repeat_p: float) -> float:
     return float(h_all_base + plogp_base.sum())
 
 
-def solve_chain_repeat_probability(matrix: TrafficMatrix, x_target: float,
-                                   tol: float = 1e-12) -> float:
+def solve_chain_repeat_probability(matrix: TrafficMatrix, x_target: float) -> float:
     """Repeat probability at which the chain's exact temporal ratio
     ``repeat_chain_entropy_rate(matrix, p) / H(matrix)`` equals x_target.
 
     The ratio is 1 at p = 0, where its slope is 0, and falls monotonically
-    to 0 at p = 1, so plain bisection over [0, 1] inverts it, until the ratio
-    is within ``tol`` of the target. x = 1 gives p = 0 and x = 0 gives p = 1
+    to 0 at p = 1, so plain bisection over [0, 1] inverts it. Sixty halvings
+    leave an interval of 2**-60, finer than the spacing of doubles near 1,
+    and the midpoint is returned. x = 1 gives p = 0 and x = 0 gives p = 1
     exactly. ``solve_repeat_probability`` inverts the additive bound instead.
     """
     h = joint_entropy(matrix)
@@ -296,12 +296,9 @@ def solve_chain_repeat_probability(matrix: TrafficMatrix, x_target: float,
     if x_target == 0.0:
         return 1.0
     lo, hi = 0.0, 1.0
-    while hi - lo > 1e-16:
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
-        r = repeat_chain_entropy_rate(matrix, mid) / h - x_target
-        if abs(r) < tol:
-            return mid
-        if r > 0.0:
+        if repeat_chain_entropy_rate(matrix, mid) / h > x_target:
             lo = mid
         else:
             hi = mid

@@ -20,7 +20,7 @@ from tracecomplexity import (AnalysisReport, CompressorHandle, GeneratorSpec, Ma
                              reference_presets, repeat_chain_entropy_rate,
                              resample_uniform, solve_repeat_probability,
                              solve_zipf_exponent, spec_from_trace, temporal_shuffle,
-                             trace_complexity, zipf_matrix,
+                             trace_complexity, write_trace, zipf_matrix,
                              REFERENCE_TARGETS)
 
 LENGTH = 1_000_000
@@ -211,19 +211,21 @@ def test_criterion_8_determinism(tmp_path):
                          name="determinism")
     comp = CompressorHandle("lzma", 1)
 
-    def one_run():
+    def one_run(run: int):
         trace = generate(spec)
+        path = tmp_path / f"run{run}.csv"
+        write_trace(trace, path)
         point = trace_complexity(trace, comp, trials=2, seed=RngSeed(1))
         report = AnalysisReport.build(trace, point, comp, 2, RngSeed(1))
         body = "\n".join(line for line in report.to_json().splitlines()
                          if '"created_at"' not in line)
         svg = complexity_map_svg([MapPoint(trace.name, point.temporal,
                                            point.non_temporal, point.overall)])
-        return encode_canonical(trace), body, svg
+        return path.read_bytes(), encode_canonical(trace), body, svg
 
-    first, second = one_run(), one_run()
+    first, second = one_run(1), one_run(2)
     ok = first == second
     announce(8, "determinism", ok,
-             "trace bytes, report (minus timestamp), and SVG identical across runs"
+             "trace file, pair code, report (minus timestamp), and SVG identical across runs"
              if ok else "re-run artifacts differ")
     assert ok

@@ -340,6 +340,15 @@ class TestSolveChainRepeatProbability:
         assert solve_chain_repeat_probability(m, 1.0) == 0.0
         assert solve_chain_repeat_probability(m, 0.0) == 1.0
 
+    def test_targets_next_to_the_endpoints(self):
+        # a target one ulp inside [0, 1] still ends, and inverts the ratio
+        m = zipf_matrix(16, 1.0)
+        h = joint_entropy(m)
+        for x in (np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0)):
+            p = solve_chain_repeat_probability(m, float(x))
+            assert 0.0 <= p <= 1.0
+            assert repeat_chain_entropy_rate(m, p) / h == pytest.approx(float(x), abs=1e-9)
+
     def test_decreasing_in_x(self):
         m = zipf_matrix(16, 1.0)
         ps = [solve_chain_repeat_probability(m, x) for x in (0.2, 0.5, 0.9, 0.999)]
