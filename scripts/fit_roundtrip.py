@@ -15,6 +15,7 @@ from pathlib import Path
 from tracecomplexity import (MapTarget, RngSeed, default_compressor, generate,
                              load_trace, spec_from_target, spec_from_trace,
                              trace_complexity, write_spec, write_trace)
+from tracecomplexity.complexity import DEFAULT_LEVELS
 
 
 def main(argv=None) -> int:
@@ -24,7 +25,7 @@ def main(argv=None) -> int:
                         help="demo/regenerated trace length (default: 200000)")
     parser.add_argument("--trials", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--compressor", choices=["lzma", "deflate"], default=None)
+    parser.add_argument("--compressor", choices=sorted(DEFAULT_LEVELS), default=None)
     parser.add_argument("--outdir", default="out/fit", help="output directory")
     args = parser.parse_args(argv)
 

@@ -18,6 +18,7 @@ from tracecomplexity import (REFERENCE_TARGETS, AnalysisReport, MapPoint, RngSee
                              complexity_map_svg, default_compressor, generate,
                              reference_presets, trace_complexity, write_map_csv,
                              write_spec, write_trace)
+from tracecomplexity.complexity import DEFAULT_LEVELS
 
 
 def main(argv=None) -> int:
@@ -28,7 +29,7 @@ def main(argv=None) -> int:
                         help="entries per trace (default: 1000000)")
     parser.add_argument("--trials", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--compressor", choices=["lzma", "deflate"], default=None)
+    parser.add_argument("--compressor", choices=sorted(DEFAULT_LEVELS), default=None)
     parser.add_argument("--level", type=int, default=None)
     args = parser.parse_args(argv)
 

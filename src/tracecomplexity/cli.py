@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .complexity import complexity_of_slices, default_compressor, trace_complexity
+from .complexity import (DEFAULT_LEVELS, complexity_of_slices, default_compressor,
+                         trace_complexity)
 from .entropy import empirical_matrix, joint_entropy, normalized_nontemporal
 from .errors import ConfigError, DataError, SolverError
 from .generator import (MapTarget, generate, spec_from_json, spec_from_target,
@@ -65,7 +67,7 @@ def _add_format_args(p: argparse.ArgumentParser) -> None:
 
 def _add_compressor_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("compressor")
-    g.add_argument("--compressor", choices=["lzma", "deflate"], default=None,
+    g.add_argument("--compressor", choices=sorted(DEFAULT_LEVELS), default=None,
                    help="backend (default: lzma, or $TRACE_COMPLEXITY_COMPRESSOR)")
     g.add_argument("--level", type=int, default=None, help="compression level")
     g.add_argument("--dict-size", type=int, default=None, help="lzma dictionary size in bytes")
@@ -81,8 +83,8 @@ def _print_point_row(label: str, point, out) -> None:
           f"{point.overall:>9.4f}", file=out)
 
 
-def _emit_warnings(point, prefix: str = "") -> None:
-    for w in point.warnings:
+def _emit_warnings(messages, prefix: str = "") -> None:
+    for w in messages:
         print(f"warning: {prefix}{w}", file=sys.stderr)
 
 
@@ -93,14 +95,14 @@ def cmd_analyze(args) -> int:
     mode = None if args.uniform_mode == "auto" else args.uniform_mode
     point = trace_complexity(trace, compressor, trials=args.trials, seed=seed,
                              uniform_mode=mode)
-    _emit_warnings(point)
+    _emit_warnings(point.warnings)
     slices = None
     if args.slices:
         src_pt, dst_pt = complexity_of_slices(trace, compressor, trials=args.trials,
                                               seed=seed)
         slices = {"source": src_pt, "destination": dst_pt}
-        _emit_warnings(src_pt, "source slice: ")
-        _emit_warnings(dst_pt, "destination slice: ")
+        _emit_warnings(src_pt.warnings, "source slice: ")
+        _emit_warnings(dst_pt.warnings, "destination slice: ")
 
     print(f"{'trace':<24} {'temporal':>9} {'non-temporal':>13} {'overall':>9}")
     _print_point_row(trace.name, point, sys.stdout)
@@ -137,8 +139,11 @@ def cmd_generate(args) -> int:
         fmt = _format(args)
         original = load_trace(args.fit, fmt)
         compressor = default_compressor(args.compressor, args.level, args.dict_size)
-        spec = spec_from_trace(original, trials=args.trials, compressor=compressor,
-                               seed=seed)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            spec = spec_from_trace(original, trials=args.trials, compressor=compressor,
+                                   seed=seed)
+        _emit_warnings(w.message for w in caught)
         print(f"fitted matrix entropy: {joint_entropy(spec.matrix):.6f} bits")
         print(f"repeat probability: {spec.repeat_p:.6f}")
     if args.length is not None:

@@ -22,9 +22,7 @@ import os
 import threading
 import zlib
 from collections import OrderedDict
-from collections.abc import Callable
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -70,18 +68,7 @@ def _deflate_size(data: bytes, handle: CompressorHandle) -> int:
     return len(co.compress(data) + co.flush())
 
 
-class _Backend(NamedTuple):
-    size: Callable[[bytes, CompressorHandle], int]
-    #: Whether an analysis may run this backend's jobs on a thread per CPU.
-    pooled: bool
-
-
-# LZMA stays serial: each LZMA-6 encoder keeps about 19 MB resident (its hash
-# table is zeroed in full), and per-thread malloc arenas keep a freed one, so
-# running LZMA jobs on two threads raised the benchmark's peak RSS by a
-# quarter. A deflate encoder needs well under 1 MB.
-_BACKENDS = {"lzma": _Backend(_lzma_size, pooled=False),
-             "deflate": _Backend(_deflate_size, pooled=True)}
+_BACKENDS = {"lzma": _lzma_size, "deflate": _deflate_size}
 DEFAULT_LEVELS = {"lzma": 6, "deflate": 9}
 
 
@@ -133,7 +120,7 @@ def compressed_size(data: bytes, compressor: CompressorHandle | None = None) -> 
     if compressor is None:
         compressor = default_compressor()
     try:
-        backend = _BACKENDS[compressor.name]
+        size_of = _BACKENDS[compressor.name]
     except KeyError:
         raise ConfigError(
             f"unknown compressor {compressor.name!r}; available: {sorted(_BACKENDS)}")
@@ -142,7 +129,7 @@ def compressed_size(data: bytes, compressor: CompressorHandle | None = None) -> 
         if key in _size_cache:
             _size_cache.move_to_end(key)
             return _size_cache[key]
-    size = backend.size(data, compressor)
+    size = size_of(data, compressor)
     with _cache_lock:
         _size_cache[key] = size
         while len(_size_cache) > _SIZE_CACHE_MAX:
@@ -164,10 +151,6 @@ class ComplexityPoint:
     warnings: tuple[str, ...] = ()
 
     @property
-    def column_count(self) -> int:
-        return 1 if self.uniform_mode == "single" else 2
-
-    @property
     def c_shuffled_mean(self) -> float:
         return float(np.mean(self.c_shuffled_trials))
 
@@ -185,7 +168,6 @@ class ComplexityPoint:
             "c_uniform_mean": self.c_uniform_mean,
             "c_shuffled_trials": list(self.c_shuffled_trials),
             "c_uniform_trials": list(self.c_uniform_trials),
-            "column_count": self.column_count,
             "uniform_mode": self.uniform_mode,
             "warnings": list(self.warnings),
         }
@@ -204,67 +186,28 @@ class ComplexityPoint:
         )
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_jobs(jobs: list[Callable[[], bytes]],
-              compressor: CompressorHandle | None) -> list[int]:
-    """Compressed size of each job's buffer, in job order.
-
-    Jobs of a pooled backend run on one thread per usable CPU; the others
-    run one at a time on the calling thread. Sizes do not depend on which.
-    """
-    if compressor is None:
-        compressor = default_compressor()
-
-    def size(job: Callable[[], bytes]) -> int:
-        return compressed_size(job(), compressor)
-
-    backend = _BACKENDS.get(compressor.name)
-    workers = min(len(jobs), _usable_cpus()) if backend and backend.pooled else 1
-    if workers == 1:
-        return [size(job) for job in jobs]
-    from concurrent.futures import ThreadPoolExecutor  # about 6 ms to import
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(size, jobs))
-
-
-# The jobs of an analysis. A job builds its buffer only when it runs, so
-# each worker holds at most one.
-def _original_job(trace: Trace) -> Callable[[], bytes]:
-    return lambda: encode_canonical(trace)
-
-
-def _shuffled_job(trace: Trace, seed: RngSeed, k: int) -> Callable[[], bytes]:
-    return lambda: encode_canonical(temporal_shuffle(trace, seed.derive(0, k)))
-
-
-def _uniform_job(trace: Trace, seed: RngSeed, k: int, mode: str) -> Callable[[], bytes]:
-    return lambda: encode_canonical(resample_uniform(trace, seed.derive(1, k), mode))
-
-
-def _check_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError("need at least one randomization trial")
-
-
 def _temporal_ratio(c_original: int, c_shuffled: list[int]) -> float:
     return c_original / float(np.mean(c_shuffled))
+
+
+def _original_and_shuffled_sizes(trace: Trace, compressor: CompressorHandle | None,
+                                 trials: int, seed: RngSeed) -> tuple[int, list[int]]:
+    if trials < 1:
+        raise ValueError("need at least one randomization trial")
+    # Each buffer is built just before it is compressed and is dropped after,
+    # so an analysis holds one buffer at a time.
+    c_original = compressed_size(encode_canonical(trace), compressor)
+    c_shuffled = [compressed_size(encode_canonical(temporal_shuffle(trace, seed.derive(0, k))),
+                                  compressor) for k in range(trials)]
+    return c_original, c_shuffled
 
 
 def _measure_temporal(trace: Trace, compressor: CompressorHandle | None = None,
                       trials: int = 3, seed: RngSeed = RngSeed(0)) -> float:
     """The temporal ratio ``trace_complexity`` measures, from its original
-    and shuffled jobs alone: the uniform jobs serve only the non-temporal
-    ratio."""
-    _check_trials(trials)
-    jobs = [_original_job(trace)] + [_shuffled_job(trace, seed, k) for k in range(trials)]
-    c_original, *c_shuffled = _run_jobs(jobs, compressor)
-    return _temporal_ratio(c_original, c_shuffled)
+    and shuffled compressions alone: the uniform ones serve only the
+    non-temporal ratio."""
+    return _temporal_ratio(*_original_and_shuffled_sizes(trace, compressor, trials, seed))
 
 
 def trace_complexity(trace: Trace,
@@ -279,10 +222,7 @@ def trace_complexity(trace: Trace,
     independent. ``uniform_mode`` defaults to "pair" for traces whose columns
     share their ID set and "columnwise" for asymmetric ones; single-column
     traces (from slice_column) must pass "single" (see resample_uniform).
-    With deflate the compressions run on one thread per usable CPU; the
-    result does not depend on how many there are.
     """
-    _check_trials(trials)
     mode = default_uniform_mode(trace) if uniform_mode is None else uniform_mode
 
     warnings: list[str] = []
@@ -291,12 +231,10 @@ def trace_complexity(trace: Trace,
             f"trace length {len(trace)} is below the recommended minimum "
             f"{MIN_RECOMMENDED_LENGTH}; compression overhead may dominate the ratios")
 
-    # The plan: the original, then each trial's shuffled and uniform buffer.
-    jobs = [_original_job(trace)]
-    for k in range(trials):
-        jobs += [_shuffled_job(trace, seed, k), _uniform_job(trace, seed, k, mode)]
-    c_original, *sizes = _run_jobs(jobs, compressor)
-    c_shuffled, c_uniform = sizes[0::2], sizes[1::2]
+    c_original, c_shuffled = _original_and_shuffled_sizes(trace, compressor, trials, seed)
+    c_uniform = [compressed_size(
+        encode_canonical(resample_uniform(trace, seed.derive(1, k), mode)), compressor)
+        for k in range(trials)]
 
     mean_shuffled = float(np.mean(c_shuffled))
     mean_uniform = float(np.mean(c_uniform))

@@ -98,7 +98,8 @@ def binary_entropy(p: float) -> float:
 def joint_entropy(matrix: TrafficMatrix) -> float:
     """-sum p*log2(p) over the support, with 0*log(0) = 0."""
     p = matrix.probs[matrix.probs > 0]
-    return float(-(p * np.log2(p)).sum())
+    # + 0.0 turns the -0.0 of a single-cell matrix into 0.0 and no other value
+    return float(-(p * np.log2(p)).sum() + 0.0)
 
 
 def normalized_nontemporal(matrix: TrafficMatrix) -> float:

@@ -118,6 +118,10 @@ class AnalysisReport:
 def load_report(path) -> AnalysisReport:
     try:
         with open(path, encoding="utf-8") as fh:
-            return AnalysisReport.from_json(fh.read())
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read report {path}: {e}")
+    try:
+        return AnalysisReport.from_json(text)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from e

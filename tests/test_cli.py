@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,20 @@ class TestGenerate:
         fitted = spec_from_json((tmp_path / "fit.csv.spec.json").read_text())
         assert 0.6 < fitted.repeat_p <= 1.0
 
+    def test_fit_warning_is_one_line(self, tmp_path, capsys):
+        """The fit's warning reaches the user as one line, as analyze's do."""
+        const = tmp_path / "const.csv"
+        const.write_text("4,7\n" * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # none may escape main
+            assert main(["generate", "--fit", str(const), "--output",
+                         str(tmp_path / "fit.csv")]) == 0
+        out, err = capsys.readouterr()
+        assert "fitted matrix entropy: 0.000000 bits\n" in out
+        lines = [ln for ln in err.splitlines() if not ln.startswith("trace written")]
+        assert lines == ["warning: trace has a single repeated pair; "
+                         "repeat probability pinned to 1"]
+
     def test_target_default_length(self, tmp_path):
         out = tmp_path / "default.csv"
         assert main(["generate", "--target", "0.4", "0.4", "--output", str(out)]) == 0
@@ -87,10 +102,11 @@ class TestGenerate:
         assert main(["generate", "--target", "0.5", "0", "--output", str(out)]) == 3
         assert "degenerate" in capsys.readouterr().err
 
-    def test_degenerate_target_with_flag(self, tmp_path):
+    def test_degenerate_target_with_flag(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
         assert main(["generate", "--target", "0.5", "0", "--allow-degenerate",
                      "--length", "100", "--output", str(out)]) == 0
+        assert "matrix entropy: 0.000000 bits\n" in capsys.readouterr().out
         lines = out.read_text().splitlines()
         assert len(set(lines)) == 1
 
@@ -134,7 +150,7 @@ class TestAnalyze:
                      "--output", str(report_path)] + FAST) == 0
         report = load_report(report_path)
         assert set(report.slices) == {"source", "destination"}
-        assert report.slices["source"].column_count == 1
+        assert report.slices["source"].uniform_mode == "single"
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
@@ -286,6 +302,19 @@ class TestMapCommand:
         bad.write_text("{")
         assert main(["map", str(bad), "--output", str(tmp_path / "m.svg")]) == 2
 
+    @pytest.mark.parametrize("key, value", [("schema", "trace-complexity-report/1"),
+                                            ("compressor", {})],
+                             ids=["old-schema", "compressor-without-name"])
+    def test_bad_report_named(self, report_file, tmp_path, capsys, key, value):
+        doc = json.loads(report_file.read_text())
+        doc[key] = value
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(doc))
+        assert main(["map", str(report_file), str(old),
+                     "--output", str(tmp_path / "m.svg")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(old) in err[0], err
+
     def test_zero_reports_usage_error(self, tmp_path):
         assert main(["map", "--output", str(tmp_path / "m.svg")]) == 1
 
@@ -324,6 +353,12 @@ class TestMatrixCommand:
         cells = [float(v) for r in out.read_text().splitlines() for v in r.split(",")]
         assert sorted(cells)[-1] == 1.0 and sum(cells) == 1.0
 
+    def test_single_pair_entropy_is_positive_zero(self, tmp_path, capsys):
+        f = tmp_path / "pair.csv"
+        f.write_text("1,2\n" * 3)
+        assert main(["matrix", str(f), "--output", str(tmp_path / "m.csv")]) == 0
+        assert capsys.readouterr().out == ("pairs: 1, joint entropy: 0.000000 bits, "
+                                           "normalized: 0.000000\n")
 
     def test_heatmap_memory_below_a_quarter_of_the_svg(self, tmp_path):
         """The heatmap is written a row at a time: at 256 IDs the command's

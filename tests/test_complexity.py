@@ -208,7 +208,7 @@ class TestSlices:
         src, dst = complexity_of_slices(uniform_trace, deflate, trials=2, seed=seed)
         assert abs(src.temporal - dst.temporal) < 0.05
         assert abs(src.non_temporal - dst.non_temporal) < 0.05
-        assert src.column_count == dst.column_count == 1
+        assert src.uniform_mode == dst.uniform_mode == "single"
 
     def test_single_column_normalizes_to_one(self, uniform_trace, deflate, seed):
         # a uniform iid column measured against a single-draw uniform counterpart
@@ -226,8 +226,7 @@ class TestSlices:
 
 def oracle_trace_complexity(trace: Trace, compressor: CompressorHandle, trials: int,
                             seed: RngSeed, uniform_mode: str | None = None) -> ComplexityPoint:
-    """trace_complexity as a serial loop over the trials, kept as the
-    reference for the job plan and its thread pool."""
+    """trace_complexity as one loop over the trials, kept as its reference."""
     mode = default_uniform_mode(trace) if uniform_mode is None else uniform_mode
     warnings = []
     if len(trace) < complexity.MIN_RECOMMENDED_LENGTH:
@@ -259,12 +258,6 @@ def oracle_trace_complexity(trace: Trace, compressor: CompressorHandle, trials: 
                            warnings=tuple(warnings))
 
 
-@pytest.fixture
-def four_cpus(monkeypatch):
-    """Size the pool for four CPUs, so it runs whatever this machine has."""
-    monkeypatch.setattr(complexity, "_usable_cpus", lambda: 4)
-
-
 def _skewed_bursty_trace() -> Trace:
     """Over 12 IDs, so that its pair-mode uniform counterparts, unlike random
     bytes, compress to sizes that differ between trials."""
@@ -281,31 +274,27 @@ class TestJobPool:
     @pytest.mark.parametrize("backend", ["deflate", "lzma"])
     @pytest.mark.parametrize("trials", [1, 2, 3, 4])
     @pytest.mark.parametrize("mode", ["pair", "columnwise", "single"])
-    def test_matches_serial_oracle(self, four_cpus, bursty_trace, backend, trials, mode):
+    def test_matches_serial_oracle(self, bursty_trace, backend, trials, mode):
         handle = CompressorHandle(backend, 1)
         trace = {"pair": _skewed_bursty_trace(), "columnwise": _asymmetric_trace(),
                  "single": slice_column(bursty_trace, "source")}[mode]
         clear_size_cache()
-        pooled = trace_complexity(trace, handle, trials=trials, seed=RngSeed(9),
-                                  uniform_mode=mode)
+        point = trace_complexity(trace, handle, trials=trials, seed=RngSeed(9),
+                                 uniform_mode=mode)
         clear_size_cache()
         serial = oracle_trace_complexity(trace, handle, trials, RngSeed(9), mode)
-        assert pooled == serial
+        assert point == serial
         assert len(set(serial.c_shuffled_trials + serial.c_uniform_trials)) > trials
 
-    def test_error_reaches_caller_and_pool_ends(self, four_cpus, bursty_trace, monkeypatch):
+    def test_error_reaches_caller(self, bursty_trace, monkeypatch):
         failure = RuntimeError("third compression fails")
-        lock = threading.Lock()
         calls = []
-        workers = set()
         real = zlib.compressobj
 
         def compressobj(*args, **kwargs):
-            with lock:
-                calls.append(None)
-                workers.add(threading.current_thread())
-                if len(calls) == 3:
-                    raise failure
+            calls.append(None)
+            if len(calls) == 3:
+                raise failure
             return real(*args, **kwargs)
 
         monkeypatch.setattr(zlib, "compressobj", compressobj)
@@ -314,49 +303,29 @@ class TestJobPool:
             trace_complexity(bursty_trace, CompressorHandle("deflate", 1), trials=3,
                              seed=RngSeed(1))
         assert info.value is failure
-        assert workers and threading.current_thread() not in workers
-        for thread in workers:
-            thread.join(timeout=30)
-            assert not thread.is_alive()
 
-    def test_deflate_runs_on_pool_threads(self, four_cpus, bursty_trace, monkeypatch):
+    @pytest.mark.parametrize("backend", ["lzma", "deflate"])
+    def test_compressions_run_on_calling_thread(self, bursty_trace, monkeypatch, backend):
         seen = []
-        real = zlib.compressobj
+        lib, name = {"lzma": (lzma, "compress"), "deflate": (zlib, "compressobj")}[backend]
+        real = getattr(lib, name)
 
-        def compressobj(*args, **kwargs):
+        def spy(*args, **kwargs):
             seen.append(threading.get_ident())
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(zlib, "compressobj", compressobj)
+        monkeypatch.setattr(lib, name, spy)
         clear_size_cache()
-        trace_complexity(bursty_trace, CompressorHandle("deflate", 1), trials=2,
-                         seed=RngSeed(1))
-        assert len(seen) == 5
-        assert threading.get_ident() not in seen
-
-    def test_lzma_runs_on_calling_thread(self, four_cpus, bursty_trace, monkeypatch):
-        # Each LZMA-6 encoder keeps about 19 MB resident; running them
-        # concurrently raises peak memory by a quarter.
-        seen = []
-        real = lzma.compress
-
-        def compress(*args, **kwargs):
-            seen.append(threading.get_ident())
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(lzma, "compress", compress)
-        clear_size_cache()
-        complexity_of_slices(bursty_trace, CompressorHandle("lzma", 1), trials=3,
-                             seed=RngSeed(1))
-        trace_complexity(bursty_trace, CompressorHandle("lzma", 1), trials=3,
-                         seed=RngSeed(1))
+        handle = CompressorHandle(backend, 1)
+        complexity_of_slices(bursty_trace, handle, trials=3, seed=RngSeed(1))
+        trace_complexity(bursty_trace, handle, trials=3, seed=RngSeed(1))
         assert len(seen) >= 7
         assert set(seen) == {threading.get_ident()}
 
     def test_concurrent_cache_stress(self, monkeypatch):
-        # More threads than cores share the size cache, switching as often as
-        # the interpreter allows; evictions must keep it bounded and every
-        # size must be the backend's.
+        # Callers' threads share the size cache, switching as often as the
+        # interpreter allows; evictions must keep it bounded and every size
+        # must be the backend's.
         monkeypatch.setattr(complexity, "_SIZE_CACHE_MAX", 16)
         handle = CompressorHandle("deflate", 1)
         buffers = [bytes(f"{i},{i * 7 % 13}\n", "ascii") * (50 + i) for i in range(64)]
@@ -371,8 +340,7 @@ class TestJobPool:
                     if compressed_size(buffers[j], handle) != expected[j]:
                         wrong.append(j)
 
-        threads = [threading.Thread(target=hammer, args=(t,))
-                   for t in range(2 * complexity._usable_cpus() + 2)]
+        threads = [threading.Thread(target=hammer, args=(t,)) for t in range(8)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
