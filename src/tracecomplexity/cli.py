@@ -70,7 +70,9 @@ def _add_compressor_args(p: argparse.ArgumentParser) -> None:
     g.add_argument("--compressor", choices=sorted(DEFAULT_LEVELS), default=None,
                    help="backend (default: lzma, or $TRACE_COMPLEXITY_COMPRESSOR)")
     g.add_argument("--level", type=int, default=None, help="compression level")
-    g.add_argument("--dict-size", type=int, default=None, help="lzma dictionary size in bytes")
+    g.add_argument("--dict-size", type=int, default=None,
+                   help="lzma dictionary size in bytes (default: sized to each buffer "
+                        "of up to 8 MiB at levels 6-9, else the preset's)")
 
 
 def _format(args) -> CsvFormat:

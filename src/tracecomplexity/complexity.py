@@ -34,6 +34,15 @@ from .transforms import RngSeed, default_uniform_mode, resample_uniform, tempora
 #: is no longer negligible against the payload.
 MIN_RECOMMENDED_LENGTH = 10_000
 
+
+def short_trace_warning(length: int) -> str | None:
+    """The warning for measuring a trace of ``length`` entries, or None."""
+    if length >= MIN_RECOMMENDED_LENGTH:
+        return None
+    return (f"trace length {length} is below the recommended minimum "
+            f"{MIN_RECOMMENDED_LENGTH}; compression overhead may dominate the ratios")
+
+
 ENV_COMPRESSOR = "TRACE_COMPLEXITY_COMPRESSOR"
 
 
@@ -50,16 +59,34 @@ class CompressorHandle:
 
     name: str
     level: int
-    dict_size: int | None = None  # lzma only; None keeps the preset default
+    # lzma only. None sizes the dictionary to the buffer at presets 6-9 (see
+    # _lzma_size) and keeps the preset's dictionary at presets 0-5.
+    dict_size: int | None = None
 
     def describe(self) -> dict:
         return {"name": self.name, "level": self.level, "dict_size": self.dict_size}
 
 
+#: The smallest dictionary of presets 6-9: a buffer no longer than this fits
+#: the dictionary of whichever of them it is compressed at.
+_PRESET_MIN_DICT = 8 << 20
+
+
 def _lzma_size(data: bytes, handle: CompressorHandle) -> int:
+    """liblzma sizes its match-finder tables from ``dict_size``, not from the
+    input, so at presets 6-9 a buffer of up to 8 MiB gets the smallest
+    power-of-two dictionary (at least 4 KiB) that holds it, instead of
+    allocating and zeroing about 17 MB per call. The sizes matched the
+    preset dictionary's in every buffer compared (pair codes of generated
+    traces and flow logs); that is evidence, not a proof. At presets 4 and
+    5 a few buffers differed, so presets 0-5 keep their dictionary. A
+    ``dict_size`` set on the handle is used as given.
+    """
     filt: dict = {"id": lzma.FILTER_LZMA2, "preset": handle.level}
     if handle.dict_size is not None:
         filt["dict_size"] = handle.dict_size
+    elif handle.level >= 6 and len(data) <= _PRESET_MIN_DICT:
+        filt["dict_size"] = max(4096, 1 << (len(data) - 1).bit_length())
     return len(lzma.compress(data, format=lzma.FORMAT_RAW, filters=[filt]))
 
 
@@ -225,11 +252,8 @@ def trace_complexity(trace: Trace,
     """
     mode = default_uniform_mode(trace) if uniform_mode is None else uniform_mode
 
-    warnings: list[str] = []
-    if len(trace) < MIN_RECOMMENDED_LENGTH:
-        warnings.append(
-            f"trace length {len(trace)} is below the recommended minimum "
-            f"{MIN_RECOMMENDED_LENGTH}; compression overhead may dominate the ratios")
+    short = short_trace_warning(len(trace))
+    warnings: list[str] = [short] if short else []
 
     c_original, c_shuffled = _original_and_shuffled_sizes(trace, compressor, trials, seed)
     c_uniform = [compressed_size(

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .complexity import CompressorHandle, _measure_temporal
+from .complexity import CompressorHandle, _measure_temporal, short_trace_warning
 from .entropy import (TrafficMatrix, empirical_matrix, joint_entropy,
                       solve_chain_repeat_probability, solve_zipf_exponent, zipf_matrix)
 from .errors import ConfigError, DataError, SolverError
@@ -140,7 +140,9 @@ def spec_from_trace(trace: Trace,
     The matrix is the trace's own pair-frequency matrix; the repeat
     probability is solved so the chain's exact temporal ratio equals the
     measured one, so a regenerated trace lands near the original on the
-    complexity map. Length defaults to the original's.
+    complexity map. Length defaults to the original's. A trace shorter
+    than ``MIN_RECOMMENDED_LENGTH`` gets the warning ``trace_complexity``
+    gives it.
     """
     matrix = empirical_matrix(trace)
     h = joint_entropy(matrix)
@@ -148,6 +150,9 @@ def spec_from_trace(trace: Trace,
         _warnings.warn("trace has a single repeated pair; repeat probability pinned to 1")
         repeat_p = 1.0
     else:
+        short = short_trace_warning(len(trace))
+        if short:
+            _warnings.warn(short)
         measured = _measure_temporal(trace, compressor, trials=trials, seed=seed)
         if measured > 1.0:
             _warnings.warn(

@@ -91,6 +91,22 @@ class TestGenerate:
         assert lines == ["warning: trace has a single repeated pair; "
                          "repeat probability pinned to 1"]
 
+    def test_fit_warns_on_short_trace(self, tmp_path, capsys):
+        """A fit measures the trace as analyze does, and warns as it does
+        when the trace is short."""
+        short = tmp_path / "short.csv"
+        assert main(["generate", "--target", "0.4", "0.4", "--length", "2000",
+                     "--output", str(short)]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # none may escape main
+            assert main(["generate", "--fit", str(short), "--output",
+                         str(tmp_path / "fit.csv")] + FAST) == 0
+        warned = [ln for ln in capsys.readouterr().err.splitlines()
+                  if ln.startswith("warning:")]
+        assert warned == ["warning: trace length 2000 is below the recommended minimum "
+                          "10000; compression overhead may dominate the ratios"]
+
     def test_target_default_length(self, tmp_path):
         out = tmp_path / "default.csv"
         assert main(["generate", "--target", "0.4", "0.4", "--output", str(out)]) == 0

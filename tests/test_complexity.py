@@ -69,6 +69,74 @@ class TestCompressedSize:
         assert best <= fast
 
 
+def _zipf_trace(n: int, scattered: bool, length: int) -> Trace:
+    """A bursty Zipf trace over n IDs; ``scattered`` deals the Zipf
+    probabilities to the cells in a random order instead of row-major."""
+    m = zipf_matrix(n, 1.0)
+    if scattered:
+        m = TrafficMatrix(m.sources, m.dests, np.random.default_rng(n).permutation(m.probs), n)
+    return generate(GeneratorSpec(m, 0.5, length, RngSeed(n), name="zipf"))
+
+
+class TestLzmaDictionary:
+    """At presets 6-9 each buffer of up to 8 MiB is compressed with a
+    dictionary sized to it, which must not change any compressed size."""
+
+    @pytest.mark.parametrize("n, scattered, length", [
+        (16, False, 300_000), (16, True, 3_000), (64, False, 30_000),
+        (64, True, 100_000), (256, False, 300_000), (256, True, 30_000)])
+    def test_sizes_match_the_preset_dictionary(self, n, scattered, length):
+        trace = _zipf_trace(n, scattered, length)
+        buffers = [encode_canonical(trace),
+                   encode_canonical(temporal_shuffle(trace, RngSeed(1))),
+                   encode_canonical(resample_uniform(trace, RngSeed(2), "pair"))]
+        for data in buffers:
+            for level in (6, 9):
+                preset = lzma.compress(data, format=lzma.FORMAT_RAW,
+                                       filters=[{"id": lzma.FILTER_LZMA2, "preset": level}])
+                assert complexity._lzma_size(data, CompressorHandle("lzma", level)) \
+                    == len(preset)
+
+    @pytest.fixture
+    def filters_seen(self, monkeypatch):
+        """Record the filter chain of every lzma.compress call; buffers of
+        8 MiB or more are not compressed."""
+        seen = []
+        real = lzma.compress
+
+        def spy(data, **kwargs):
+            seen.append(kwargs["filters"][0])
+            return b"x" if len(data) >= 8 << 20 else real(data, **kwargs)
+
+        monkeypatch.setattr(lzma, "compress", spy)
+        return seen
+
+    @pytest.mark.parametrize("size, dict_size", [
+        (1, 4096), (4096, 4096), (4097, 8192), (100_000, 1 << 17), (8 << 20, 8 << 20)])
+    @pytest.mark.parametrize("level", [6, 7, 8, 9])
+    def test_dictionary_sized_to_buffer(self, filters_seen, level, size, dict_size):
+        complexity._lzma_size(bytes(size), CompressorHandle("lzma", level))
+        assert filters_seen == [{"id": lzma.FILTER_LZMA2, "preset": level,
+                                 "dict_size": dict_size}]
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5])
+    def test_presets_below_six_keep_their_dictionary(self, filters_seen, level):
+        complexity._lzma_size(bytes(100_000), CompressorHandle("lzma", level))
+        assert filters_seen == [{"id": lzma.FILTER_LZMA2, "preset": level}]
+
+    def test_buffer_over_eight_mib_keeps_the_preset_dictionary(self, filters_seen):
+        complexity._lzma_size(bytes((8 << 20) + 1), CompressorHandle("lzma", 6))
+        assert filters_seen == [{"id": lzma.FILTER_LZMA2, "preset": 6}]
+
+    @pytest.mark.parametrize("level, size", [(1, 100_000), (6, 100_000), (9, (8 << 20) + 1)])
+    def test_user_dictionary_passes_unchanged(self, filters_seen, level, size):
+        handle = default_compressor("lzma", level, dict_size=65_536)
+        complexity._lzma_size(bytes(size), handle)
+        assert filters_seen == [{"id": lzma.FILTER_LZMA2, "preset": level,
+                                 "dict_size": 65_536}]
+        assert handle.describe()["dict_size"] == 65_536
+
+
 class TestDefaultCompressor:
     def test_builtin_default(self, monkeypatch):
         monkeypatch.delenv("TRACE_COMPLEXITY_COMPRESSOR", raising=False)
@@ -271,6 +339,10 @@ def _asymmetric_trace() -> Trace:
 
 
 class TestJobPool:
+    """Every compression of an analysis runs in a fixed order on the calling
+    thread. The class is named for the thread pool that ran them until it
+    was removed; its tests now check the serial path."""
+
     @pytest.mark.parametrize("backend", ["deflate", "lzma"])
     @pytest.mark.parametrize("trials", [1, 2, 3, 4])
     @pytest.mark.parametrize("mode", ["pair", "columnwise", "single"])
