@@ -339,9 +339,10 @@ def _asymmetric_trace() -> Trace:
 
 
 class TestJobPool:
-    """Every compression of an analysis runs in a fixed order on the calling
-    thread. The class is named for the thread pool that ran them until it
-    was removed; its tests now check the serial path."""
+    """An analysis compresses its buffers on a pool of one thread per usable
+    CPU, at most one per buffer. Its point must not depend on how many
+    threads there are, an error must reach the caller, and no thread may
+    outlive the analysis."""
 
     @pytest.mark.parametrize("backend", ["deflate", "lzma"])
     @pytest.mark.parametrize("trials", [1, 2, 3, 4])
@@ -359,40 +360,60 @@ class TestJobPool:
         assert len(set(serial.c_shuffled_trials + serial.c_uniform_trials)) > trials
 
     def test_error_reaches_caller(self, bursty_trace, monkeypatch):
+        # Seven compressions, the third of which fails. Once it has, no job
+        # starts: with one worker no compression follows the failing one,
+        # and with more only jobs already running may finish.
         failure = RuntimeError("third compression fails")
-        calls = []
         real = zlib.compressobj
+        start = threading.active_count()
+        for cpus in (1, 2, 3):
+            calls = []
 
-        def compressobj(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 3:
-                raise failure
-            return real(*args, **kwargs)
+            def compressobj(*args, **kwargs):
+                calls.append(None)
+                if len(calls) == 3:
+                    raise failure
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(zlib, "compressobj", compressobj)
-        clear_size_cache()
-        with pytest.raises(RuntimeError) as info:
-            trace_complexity(bursty_trace, CompressorHandle("deflate", 1), trials=3,
-                             seed=RngSeed(1))
-        assert info.value is failure
+            monkeypatch.setattr(zlib, "compressobj", compressobj)
+            monkeypatch.setattr(complexity, "_usable_cpus", lambda: cpus)
+            clear_size_cache()
+            with pytest.raises(RuntimeError) as info:
+                trace_complexity(bursty_trace, CompressorHandle("deflate", 1), trials=3,
+                                 seed=RngSeed(1))
+            assert info.value is failure
+            assert len(calls) <= 3 + (cpus - 1)
+            assert threading.active_count() == start
 
     @pytest.mark.parametrize("backend", ["lzma", "deflate"])
-    def test_compressions_run_on_calling_thread(self, bursty_trace, monkeypatch, backend):
-        seen = []
+    def test_worker_count_does_not_change_the_point(self, bursty_trace, monkeypatch, backend):
+        handle = CompressorHandle(backend, 1)
+        seed = RngSeed(1)
+        clear_size_cache()
+        expected = oracle_trace_complexity(bursty_trace, handle, 3, seed)
+        expected_slices = tuple(
+            oracle_trace_complexity(slice_column(bursty_trace, column), handle, 3, seed, "single")
+            for column in ("source", "destination"))
+        threads = []
         lib, name = {"lzma": (lzma, "compress"), "deflate": (zlib, "compressobj")}[backend]
         real = getattr(lib, name)
 
         def spy(*args, **kwargs):
-            seen.append(threading.get_ident())
+            threads.append(threading.get_ident())
             return real(*args, **kwargs)
 
         monkeypatch.setattr(lib, name, spy)
-        clear_size_cache()
-        handle = CompressorHandle(backend, 1)
-        complexity_of_slices(bursty_trace, handle, trials=3, seed=RngSeed(1))
-        trace_complexity(bursty_trace, handle, trials=3, seed=RngSeed(1))
-        assert len(seen) >= 7
-        assert set(seen) == {threading.get_ident()}
+        for cpus in (1, 2, 3, 8):
+            monkeypatch.setattr(complexity, "_usable_cpus", lambda: cpus)
+            clear_size_cache()
+            threads.clear()
+            assert trace_complexity(bursty_trace, handle, trials=3, seed=seed) == expected
+            assert len(threads) == 7
+            assert len(set(threads)) <= min(7, cpus)
+            assert threading.get_ident() not in threads
+            clear_size_cache()
+            assert complexity_of_slices(bursty_trace, handle, trials=3,
+                                        seed=seed) == expected_slices
 
     def test_concurrent_cache_stress(self, monkeypatch):
         # Callers' threads share the size cache, switching as often as the
