@@ -4,6 +4,7 @@
 With --trace, fits the given CSV; otherwise synthesizes a demo trace first
 (skewed + bursty preset). Prints the original and regenerated complexity
 points and their L-infinity distance, and writes the fitted spec JSON.
+Warnings of the fit and of the two analyses go to stderr, one line each.
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ from tracecomplexity import (MapTarget, RngSeed, default_compressor, generate,
                              load_trace, spec_from_target, spec_from_trace,
                              trace_complexity, write_spec, write_trace)
 from tracecomplexity.complexity import DEFAULT_LEVELS
+
+
+def _warn(messages, prefix: str = "") -> None:
+    for w in messages:
+        print(f"warning: {prefix}{w}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -44,12 +50,15 @@ def main(argv=None) -> int:
         print(f"demo trace: p={demo_spec.repeat_p:.4f}, {args.length} entries")
 
     fitted = spec_from_trace(original, trials=args.trials, compressor=comp, seed=seed)
+    _warn(fitted.warnings)
     write_spec(fitted, outdir / "fitted.spec.json")
     regen = generate(fitted)
     write_trace(regen, outdir / "regenerated.csv")
 
     p_orig = trace_complexity(original, comp, trials=args.trials, seed=seed)
     p_regen = trace_complexity(regen, comp, trials=args.trials, seed=seed)
+    _warn(p_orig.warnings, "original: ")
+    _warn(p_regen.warnings, "regenerated: ")
     dist = max(abs(p_orig.temporal - p_regen.temporal),
                abs(p_orig.non_temporal - p_regen.non_temporal))
     print(f"original:    T={p_orig.temporal:.4f}  NT={p_orig.non_temporal:.4f}")

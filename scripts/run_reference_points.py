@@ -5,6 +5,7 @@ Writes, under --outdir: one trace CSV + spec JSON + analysis report per
 preset, a points CSV with the exact measured values, and the complexity-map
 SVG. The defaults (n=16, one million entries, LZMA) take a few minutes on a
 laptop; pass --length 100000 --compressor deflate for a quick look.
+Each analysis's warnings go to stderr, one line each.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ def main(argv=None) -> int:
         write_trace(trace, outdir / f"{name}.csv")
         write_spec(spec, outdir / f"{name}.spec.json")
         point = trace_complexity(trace, comp, trials=args.trials, seed=seed)
+        for w in point.warnings:
+            print(f"warning: {name}: {w}", file=sys.stderr)
         report = AnalysisReport.build(trace, point, comp, args.trials, seed,
                                       trace_path=str(outdir / f"{name}.csv"))
         (outdir / f"{name}.report.json").write_text(report.to_json() + "\n")

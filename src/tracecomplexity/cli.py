@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -62,7 +61,8 @@ def _add_format_args(p: argparse.ArgumentParser) -> None:
                    help="source ID column index")
     g.add_argument("--dest-col", type=_int_at_least(0), default=1,
                    help="destination ID column index")
-    g.add_argument("--skip-rows", type=int, default=0, help="header rows to skip")
+    g.add_argument("--skip-rows", type=_int_at_least(0), default=0,
+                   help="header rows to skip")
 
 
 def _add_compressor_args(p: argparse.ArgumentParser) -> None:
@@ -141,11 +141,9 @@ def cmd_generate(args) -> int:
         fmt = _format(args)
         original = load_trace(args.fit, fmt)
         compressor = default_compressor(args.compressor, args.level, args.dict_size)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            spec = spec_from_trace(original, trials=args.trials, compressor=compressor,
-                                   seed=seed)
-        _emit_warnings(w.message for w in caught)
+        spec = spec_from_trace(original, trials=args.trials, compressor=compressor,
+                               seed=seed)
+        _emit_warnings(spec.warnings)
         print(f"fitted matrix entropy: {joint_entropy(spec.matrix):.6f} bits")
         print(f"repeat probability: {spec.repeat_p:.6f}")
     if args.length is not None:
@@ -185,12 +183,11 @@ def cmd_matrix(args) -> int:
     matrix = empirical_matrix(trace)
     dense = matrix.write_dense_csv(args.output)
     try:
-        norm = normalized_nontemporal(matrix)
-        print(f"pairs: {matrix.support_size}, joint entropy: "
-              f"{joint_entropy(matrix):.6f} bits, normalized: {norm:.6f}")
+        suffix = f", normalized: {normalized_nontemporal(matrix):.6f}"
     except SolverError:
-        print(f"pairs: {matrix.support_size}, joint entropy: "
-              f"{joint_entropy(matrix):.6f} bits (single ID; no normalization)")
+        suffix = " (single ID; no normalization)"
+    print(f"pairs: {matrix.support_size}, joint entropy: "
+          f"{joint_entropy(matrix):.6f} bits{suffix}")
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.writelines(matrix_heatmap_chunks(dense, log_scale=args.log_scale))

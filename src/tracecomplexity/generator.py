@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings as _warnings
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -40,6 +39,9 @@ class GeneratorSpec:
     #: It describes how the matrix was found, so it is not serialized and
     #: not compared.
     zipf_exponent: float | None = field(default=None, compare=False)
+    #: Why a fitted spec may be off, one line each; like ``zipf_exponent``,
+    #: not serialized and not compared.
+    warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.repeat_p <= 1.0:
@@ -140,28 +142,30 @@ def spec_from_trace(trace: Trace,
     The matrix is the trace's own pair-frequency matrix; the repeat
     probability is solved so the chain's exact temporal ratio equals the
     measured one, so a regenerated trace lands near the original on the
-    complexity map. Length defaults to the original's. A trace shorter
-    than ``MIN_RECOMMENDED_LENGTH`` gets the warning ``trace_complexity``
-    gives it.
+    complexity map. Length defaults to the original's. The spec's
+    ``warnings`` say why it may be off: a single repeated pair, a trace
+    shorter than ``MIN_RECOMMENDED_LENGTH`` (the warning ``trace_complexity``
+    gives it), or a measured temporal ratio above 1.
     """
     matrix = empirical_matrix(trace)
     h = joint_entropy(matrix)
+    warnings: list[str] = []
     if h == 0.0:
-        _warnings.warn("trace has a single repeated pair; repeat probability pinned to 1")
+        warnings.append("trace has a single repeated pair; repeat probability pinned to 1")
         repeat_p = 1.0
     else:
         short = short_trace_warning(len(trace))
         if short:
-            _warnings.warn(short)
+            warnings.append(short)
         measured = _measure_temporal(trace, compressor, trials=trials, seed=seed)
         if measured > 1.0:
-            _warnings.warn(
+            warnings.append(
                 f"measured temporal ratio {measured:.4f} exceeds 1 (compressor "
                 f"noise); solving with 1.0")
             measured = 1.0
         repeat_p = solve_chain_repeat_probability(matrix, measured)
     return GeneratorSpec(matrix=matrix, repeat_p=repeat_p, length=len(trace),
-                         seed=seed, name=f"fit:{trace.name}")
+                         seed=seed, name=f"fit:{trace.name}", warnings=tuple(warnings))
 
 
 #: Map coordinates of the four synthetic reference traces.

@@ -110,6 +110,8 @@ class CsvFormat:
     def __post_init__(self):
         if min(self.source_column, self.dest_column) < 0:
             raise ValueError("column indices must be non-negative")
+        if self.skip_rows < 0:
+            raise ValueError("skip_rows must be non-negative")
 
 
 def parse_trace(stream: IO, fmt: CsvFormat = CsvFormat(), name: str = "trace") -> Trace:
@@ -128,7 +130,7 @@ def parse_trace(stream: IO, fmt: CsvFormat = CsvFormat(), name: str = "trace") -
     if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(stream, "mode", ""):
         stream = io.TextIOWrapper(stream, encoding="utf-8")
     needed = max(fmt.source_column, fmt.dest_column) + 1
-    skip = max(fmt.skip_rows, 0)
+    skip = fmt.skip_rows
     mapping: dict[str, int] = {}
     batches = []
     line = 1  # number of the next record
@@ -174,40 +176,6 @@ def _render_fixed_width(values: np.ndarray, width: int, out: np.ndarray) -> None
 _WRITE_ROWS = 1 << 15
 
 
-def _row_encoder(trace: Trace):
-    """A function rendering rows ``[start, stop)`` of ``trace`` as a uint8
-    block of ``src,dst\\n`` records.
-
-    The field width is the digit count of the largest canonical ID. When that
-    ID is below the trace length, each ID value is rendered once into a
-    table that is never larger than the trace's text, and a block copies
-    its digits in as one width-byte item per field.
-    """
-    max_id = int(max(trace.sources.max(), trace.dests.max()))
-    width = len(str(max_id))
-    item = f"V{width}"
-    digits = None
-    if max_id < len(trace):
-        table = np.empty((max_id + 1, width), dtype=np.uint8)
-        _render_fixed_width(np.arange(max_id + 1), width, table)
-        digits = table.view(item)[:, 0]
-
-    def encode(start: int, stop: int) -> np.ndarray:
-        block = np.empty((stop - start, 2 * width + 2), dtype=np.uint8)
-        fields = ((trace.sources[start:stop], block[:, :width]),
-                  (trace.dests[start:stop], block[:, width + 1:2 * width + 1]))
-        for ids, field in fields:
-            if digits is None:
-                _render_fixed_width(ids, width, field)
-            else:
-                np.take(digits, ids, out=field.view(item)[:, 0])
-        block[:, width] = ord(",")
-        block[:, -1] = ord("\n")
-        return block
-
-    return encode
-
-
 def pair_codes(trace: Trace) -> tuple[np.ndarray, int]:
     """Each entry's pair as the int64 number rank(src)*n + rank(dst), and n.
 
@@ -247,13 +215,36 @@ def write_trace(trace: Trace, path) -> None:
     The field width is the digit count of the largest canonical ID, so every
     record occupies exactly 2*width + 2 bytes.
 
-    Rows are rendered and written a block at a time, so the file's bytes are
-    never held whole.
+    Rows are rendered into one reused block and written a block at a time,
+    so the file's bytes are never held whole. When the largest ID is below
+    the trace length, each ID value is rendered once into a table that is
+    never larger than the trace's text, and a block copies its digits in as
+    one width-byte item per field.
     """
-    encode = _row_encoder(trace)
+    max_id = int(max(trace.sources.max(), trace.dests.max()))
+    width = len(str(max_id))
+    item = f"V{width}"
+    digits = None
+    if max_id < len(trace):
+        table = np.empty((max_id + 1, width), dtype=np.uint8)
+        _render_fixed_width(np.arange(max_id + 1), width, table)
+        digits = table.view(item)[:, 0]
+    rows = min(_WRITE_ROWS, len(trace))
+    block = np.empty((rows, 2 * width + 2), dtype=np.uint8)
+    block[:, width] = ord(",")
+    block[:, -1] = ord("\n")
     with open(path, "wb") as fh:
-        for start in range(0, len(trace), _WRITE_ROWS):
-            fh.write(encode(start, min(start + _WRITE_ROWS, len(trace))))
+        for start in range(0, len(trace), rows):
+            part = block[:len(trace) - start]
+            stop = start + len(part)
+            fields = ((trace.sources[start:stop], part[:, :width]),
+                      (trace.dests[start:stop], part[:, width + 1:2 * width + 1]))
+            for ids, field in fields:
+                if digits is None:
+                    _render_fixed_width(ids, width, field)
+                else:
+                    np.take(digits, ids, out=field.view(item)[:, 0])
+            fh.write(part)
 
 
 def slice_column(trace: Trace, which: str) -> Trace:

@@ -203,6 +203,7 @@ BAD_INPUTS = [
     (["generate", "--fit", "{tiny}", "--trials", "0", "--output", "{out}"], 1),
     (["analyze", "{tiny}", "--source-col", "-5"], 1),
     (["analyze", "{tiny}", "--dest-col", "-3"], 1),
+    (["analyze", "{header}", "--skip-rows", "-5"], 1),
     (["analyze", "{tiny}", "--delimiter", ""], 1),
     (["analyze", "{tiny}", "--uniform-mode", "single"], 1),
     (["analyze", "{tiny}", "--seed", "-1"], 1),
@@ -231,10 +232,11 @@ BAD_INPUTS = [
 @pytest.fixture
 def bad_inputs(tmp_path):
     files = {name: tmp_path / name for name in
-             ("tiny", "latin1", "huge_id", "partial_report", "list_slices_report",
+             ("tiny", "header", "latin1", "huge_id", "partial_report", "list_slices_report",
               "list_report", "spec_by_path", "spec_nan", "spec_negative_id",
               "spec_id_past_n", "spec_negative_seed", "spec_negative_stream", "out")}
     files["tiny"].write_text("a,b\nb,a\nc,d\n")
+    files["header"].write_text("src,dst\na,b\nb,a\n")
     files["huge_id"].write_text("a,b\n" + "c" * 200_000 + ",d\n")
     files["latin1"].write_bytes("caf\xe9,b\nb,a\n".encode("latin-1"))
     files["partial_report"].write_text(json.dumps({"schema": REPORT_SCHEMA}))
@@ -442,7 +444,7 @@ FILES = st.one_of(TEXT_FILES.map(str.encode), st.binary(max_size=30))
 FORMAT_OPTIONS = [("--delimiter", [",", ";", "\t", '"'], ["", "ab"]),
                   ("--source-col", ["0", "1", "3"], ["-1", "x"]),
                   ("--dest-col", ["0", "1", "3"], ["-2"]),
-                  ("--skip-rows", ["-1", "0", "1", "5"], ["x"])]
+                  ("--skip-rows", ["0", "1", "5"], ["-1", "x"])]
 COMPRESSOR_OPTIONS = [("--compressor", ["deflate", "lzma"], ["zstd"]),
                       ("--level", ["0", "1", "10", "-1"], ["x"]),
                       ("--dict-size", ["1", "4096"], ["x"])]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +135,7 @@ class TestSpecFromTrace:
         assert fit.matrix.cell_dict() == empirical_matrix(bursty_trace).cell_dict()
         assert fit.length == len(bursty_trace)
         assert fit.name == "fit:bursty"
+        assert fit.warnings == ()
 
     def test_recovered_p_in_plausible_band(self, bursty_trace, deflate):
         # systematic compressor bias dominates at 50k entries; the acceptance
@@ -174,8 +177,11 @@ class TestSpecFromTrace:
         reads back, its matrix densifies and it generates."""
         a, b = ids
         tr = Trace.from_pairs([(a, b), (b, a), (a, a)] * 400 + [(b, b)] * 100)
-        with pytest.warns(UserWarning, match="trace length 1300 is below"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fit = spec_from_trace(tr, trials=1, compressor=deflate, seed=RngSeed(1))
+        assert fit.warnings == ("trace length 1300 is below the recommended minimum "
+                                "10000; compression overhead may dominate the ratios",)
         assert fit.matrix.n == 2
         assert fit.matrix.cell_dict() == {(0, 0): 400 / 1300, (0, 1): 400 / 1300,
                                           (1, 0): 400 / 1300, (1, 1): 100 / 1300}
@@ -190,9 +196,32 @@ class TestSpecFromTrace:
 
     def test_constant_trace_pins_p_with_warning(self, deflate):
         tr = Trace.from_pairs([(3, 3)] * 1000)
-        with pytest.warns(UserWarning, match="single repeated pair"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             fit = spec_from_trace(tr, trials=1, compressor=deflate, seed=RngSeed(0))
+        assert fit.warnings == ("trace has a single repeated pair; "
+                                "repeat probability pinned to 1",)
         assert fit.repeat_p == 1.0
+
+    def test_ratio_above_one_is_clamped_with_warning(self, uniform_trace, deflate,
+                                                     monkeypatch):
+        monkeypatch.setattr(generator_module, "_measure_temporal", lambda *a, **k: 1.02)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = spec_from_trace(uniform_trace, trials=1, compressor=deflate)
+        assert fit.warnings == ("measured temporal ratio 1.0200 exceeds 1 (compressor "
+                                "noise); solving with 1.0",)
+        assert fit.repeat_p == solve_chain_repeat_probability(fit.matrix, 1.0)
+
+    def test_warnings_not_serialized_or_compared(self, deflate):
+        fit = spec_from_trace(Trace.from_pairs([(3, 3)] * 1000), trials=1,
+                              compressor=deflate)
+        assert fit.warnings
+        text = spec_to_json(fit)
+        assert "warnings" not in text and "single repeated pair" not in text
+        assert text == spec_to_json(dataclasses.replace(fit, warnings=()))
+        assert fit == dataclasses.replace(fit, warnings=("other",))
+        assert spec_from_json(text) == fit
 
 
 class TestReferencePresets:

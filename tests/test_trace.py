@@ -252,6 +252,11 @@ class TestAgainstCsvLoop:
         with pytest.raises(ValueError):
             CsvFormat(source_column=-1)
 
+    def test_negative_skip_rows_rejected(self):
+        """A negative count is an error, not a header row read as data."""
+        with pytest.raises(ValueError, match="skip_rows must be non-negative"):
+            CsvFormat(skip_rows=-1)
+
     @staticmethod
     def parse_in_pieces(text: str, chunk: int):
         """The outcome of parsing ``text`` read ``chunk`` characters at a
