@@ -13,29 +13,29 @@ import argparse
 import sys
 from pathlib import Path
 
-from tracecomplexity import (MapTarget, RngSeed, default_compressor, generate,
+from tracecomplexity import (ConfigError, MapTarget, RngSeed, default_compressor, generate,
                              load_trace, spec_from_target, spec_from_trace,
                              trace_complexity, write_spec, write_trace)
+from tracecomplexity.cli import EXIT_SOLVER, _emit_warnings, _int_at_least
 from tracecomplexity.complexity import DEFAULT_LEVELS
-
-
-def _warn(messages, prefix: str = "") -> None:
-    for w in messages:
-        print(f"warning: {prefix}{w}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trace", default=None, help="trace CSV to fit (default: demo)")
-    parser.add_argument("--length", type=int, default=200_000,
+    parser.add_argument("--length", type=_int_at_least(1), default=200_000,
                         help="demo/regenerated trace length (default: 200000)")
-    parser.add_argument("--trials", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--trials", type=_int_at_least(1), default=3)
+    parser.add_argument("--seed", type=_int_at_least(0), default=0)
     parser.add_argument("--compressor", choices=sorted(DEFAULT_LEVELS), default=None)
     parser.add_argument("--outdir", default="out/fit", help="output directory")
     args = parser.parse_args(argv)
 
-    comp = default_compressor(args.compressor)
+    try:
+        comp = default_compressor(args.compressor)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_SOLVER
     seed = RngSeed(args.seed)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -50,15 +50,15 @@ def main(argv=None) -> int:
         print(f"demo trace: p={demo_spec.repeat_p:.4f}, {args.length} entries")
 
     fitted = spec_from_trace(original, trials=args.trials, compressor=comp, seed=seed)
-    _warn(fitted.warnings)
+    _emit_warnings(fitted.warnings)
     write_spec(fitted, outdir / "fitted.spec.json")
     regen = generate(fitted)
     write_trace(regen, outdir / "regenerated.csv")
 
     p_orig = trace_complexity(original, comp, trials=args.trials, seed=seed)
     p_regen = trace_complexity(regen, comp, trials=args.trials, seed=seed)
-    _warn(p_orig.warnings, "original: ")
-    _warn(p_regen.warnings, "regenerated: ")
+    _emit_warnings(p_orig.warnings, "original: ")
+    _emit_warnings(p_regen.warnings, "regenerated: ")
     dist = max(abs(p_orig.temporal - p_regen.temporal),
                abs(p_orig.non_temporal - p_regen.non_temporal))
     print(f"original:    T={p_orig.temporal:.4f}  NT={p_orig.non_temporal:.4f}")

@@ -15,26 +15,32 @@ import sys
 import time
 from pathlib import Path
 
-from tracecomplexity import (REFERENCE_TARGETS, AnalysisReport, MapPoint, RngSeed,
-                             complexity_map_svg, default_compressor, generate,
+from tracecomplexity import (REFERENCE_TARGETS, AnalysisReport, ConfigError, MapPoint,
+                             RngSeed, complexity_map_svg, default_compressor, generate,
                              reference_presets, trace_complexity, write_map_csv,
                              write_spec, write_trace)
+from tracecomplexity.cli import EXIT_SOLVER, _emit_warnings, _int_at_least
 from tracecomplexity.complexity import DEFAULT_LEVELS
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="out/reference", help="output directory")
-    parser.add_argument("--n", type=int, default=16, help="IDs per preset (default: 16)")
-    parser.add_argument("--length", type=int, default=1_000_000,
+    parser.add_argument("--n", type=_int_at_least(2), default=16,
+                        help="IDs per preset (default: 16)")
+    parser.add_argument("--length", type=_int_at_least(1), default=1_000_000,
                         help="entries per trace (default: 1000000)")
-    parser.add_argument("--trials", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--trials", type=_int_at_least(1), default=3)
+    parser.add_argument("--seed", type=_int_at_least(0), default=0)
     parser.add_argument("--compressor", choices=sorted(DEFAULT_LEVELS), default=None)
     parser.add_argument("--level", type=int, default=None)
     args = parser.parse_args(argv)
 
-    comp = default_compressor(args.compressor, args.level)
+    try:
+        comp = default_compressor(args.compressor, args.level)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_SOLVER
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -49,8 +55,7 @@ def main(argv=None) -> int:
         write_trace(trace, outdir / f"{name}.csv")
         write_spec(spec, outdir / f"{name}.spec.json")
         point = trace_complexity(trace, comp, trials=args.trials, seed=seed)
-        for w in point.warnings:
-            print(f"warning: {name}: {w}", file=sys.stderr)
+        _emit_warnings(point.warnings, f"{name}: ")
         report = AnalysisReport.build(trace, point, comp, args.trials, seed,
                                       trace_path=str(outdir / f"{name}.csv"))
         (outdir / f"{name}.report.json").write_text(report.to_json() + "\n")

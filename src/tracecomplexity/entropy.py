@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .trace import Trace, pair_codes
+from .trace import Trace
 
 PROB_SUM_TOL = 1e-12
 
@@ -227,18 +227,19 @@ def solve_zipf_exponent(n_ids: int, y_target: float, tol: float = 1e-6) -> float
 def empirical_matrix(trace: Trace) -> TrafficMatrix:
     """Pair-frequency matrix of a trace: counts over t.
 
-    Pairs are counted by their ``pair_codes`` number, so the matrix lives on
+    Pairs are counted by the codes the trace stores, so the matrix lives on
     the ranks 0..n-1 of the trace's IDs whatever the IDs. They are counted
     with a table of all n*n pairs when that is no longer than the trace, else
     by sorting.
     """
-    codes, n = pair_codes(trace)
+    codes, n = trace.codes, trace.id_space.n
     if n * n <= codes.size:
         counts = np.bincount(codes, minlength=n * n)
         pairs = np.flatnonzero(counts)
         counts = counts[pairs]
     else:
         pairs, counts = np.unique(codes, return_counts=True)
+        pairs = pairs.astype(np.int64)
     return TrafficMatrix(sources=pairs // n, dests=pairs % n,
                          probs=counts / counts.sum(), n=n)
 

@@ -85,22 +85,23 @@ def generate(spec: GeneratorSpec) -> Trace:
     fresh = np.ones(t, dtype=bool)
     if t > 1 and spec.repeat_p > 0.0:
         fresh[1:] = rng.random(t - 1) >= spec.repeat_p
-    # Only fresh positions look up a cell; each run of repeats then takes
-    # the cell of the fresh position that starts it. Cell and run numbers
-    # are int32 where they fit, and each full-length array is freed as soon
-    # as the one that replaces it exists.
-    index = np.int32 if max(t, m.support_size) < 2 ** 31 else np.int64
+    # Only fresh positions look up a cell, whose code is worked out once per
+    # drawn cell; each run of repeats then takes the code of the fresh
+    # position that starts it. A full-length array is freed once replaced.
     u = u[fresh]
     cell = np.searchsorted(np.cumsum(m.probs), u, side="right")
     del u
     np.clip(cell, 0, m.support_size - 1, out=cell)
-    cell = cell.astype(index, copy=False)
-    run = np.cumsum(fresh, dtype=index)
+    drawn = np.flatnonzero(np.bincount(cell, minlength=m.support_size))
+    cells = Trace.from_arrays(m.sources[drawn], m.dests[drawn])
+    table = np.zeros(m.support_size, dtype=cells.codes.dtype)
+    table[drawn] = cells.codes
+    codes = table[cell]
+    del cell
+    run = np.cumsum(fresh, dtype=np.int32 if t < 2 ** 31 else np.int64)
     del fresh
     run -= 1
-    cell = cell[run]
-    del run
-    return Trace.from_arrays(m.sources[cell], m.dests[cell], name=spec.name, copy=False)
+    return Trace(codes[run], cells.id_space, spec.name)
 
 
 def spec_from_target(target: MapTarget,

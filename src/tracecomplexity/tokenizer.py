@@ -261,6 +261,6 @@ def relabel(codes: np.ndarray, ids: list[str], mapping: dict[str, int]) -> np.nd
     """
     first = _first_positions(codes, len(ids))
     seen = np.argsort(first)[:np.count_nonzero(first < codes.size)]
-    labels = np.empty(len(ids), np.int32)  # half the memory of int64 until the columns are joined
+    labels = np.empty(len(ids), np.int32)  # half the memory of int64 until the codes are formed
     labels[seen] = [mapping.setdefault(ids[c], len(mapping)) for c in seen.tolist()]
     return labels[codes]

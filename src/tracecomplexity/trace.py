@@ -2,12 +2,12 @@
 
 A trace is an ordered sequence of (source, destination) endpoint-ID pairs.
 Raw IDs from a file are relabeled to dense integers 0..k-1 in first-occurrence
-order. The canonical encoding, which the compression stage consumes, is a
-dense pair code: each entry is the number rank(src)*n + rank(dst) over the n
-IDs of the trace's ID space, in the fewest whole big-endian bytes that hold
-n*n - 1. It is bit-exact across runs. ``write_trace`` writes the trace as
-fixed-width zero-padded decimal text instead, one ``src,dst`` record per
-line, which ``parse_trace`` reads back.
+order. A trace stores each entry as its pair code, rank(src)*n + rank(dst)
+over the n IDs of its ID space. The canonical encoding, which the
+compression stage consumes, is that code in the fewest whole big-endian bytes
+that hold n*n - 1. It is bit-exact across runs. ``write_trace`` writes the
+trace as fixed-width zero-padded decimal text instead, one ``src,dst`` record
+per line, which ``parse_trace`` reads back.
 """
 
 from __future__ import annotations
@@ -21,6 +21,12 @@ import numpy as np
 from .errors import DataError, EmptyTraceError, TraceParseError
 
 
+def _code_word(n: int) -> np.dtype:
+    """The unsigned word that stores a pair code over n IDs: the smallest
+    that holds n*n - 1."""
+    return np.min_scalar_type(n * n - 1)
+
+
 @dataclass(frozen=True)
 class IdSpace:
     """Canonical IDs observed in each column; ``n`` is the union size."""
@@ -30,16 +36,7 @@ class IdSpace:
 
     @classmethod
     def from_columns(cls, sources: np.ndarray, dests: np.ndarray) -> "IdSpace":
-        """The IDs found in two columns of non-negative int64 IDs.
-
-        IDs below the columns' combined length, such as relabeled or
-        generated ones, are found by counting, with a count table no longer
-        than the columns; sparse IDs are found by sorting.
-        """
-        top = max((int(col.max()) for col in (sources, dests) if col.size), default=-1)
-        if top < sources.size + dests.size:
-            return cls(source_ids=np.flatnonzero(np.bincount(sources)),
-                       dest_ids=np.flatnonzero(np.bincount(dests)))
+        """The IDs found in two columns of non-negative int64 IDs."""
         return cls(source_ids=np.unique(sources), dest_ids=np.unique(dests))
 
     @property
@@ -58,44 +55,54 @@ class IdSpace:
 
 @dataclass(frozen=True)
 class Trace:
-    """Ordered (source, destination) pairs plus the ID space they live in."""
+    """Ordered (source, destination) pairs plus the ID space they live in.
 
-    sources: np.ndarray
-    dests: np.ndarray
+    Each entry is stored as its pair code rank(src)*n + rank(dst), an ID's
+    rank being its position in ``id_space.union``, in the smallest unsigned
+    word that holds n*n - 1: uint8 up to 16 IDs, uint16 up to 256 and uint32
+    up to 65,536.
+    """
+
+    codes: np.ndarray
     id_space: IdSpace
     name: str = "trace"
 
     def __post_init__(self):
-        if self.sources.size == 0:
+        if self.codes.size == 0:
             raise EmptyTraceError("trace must contain at least one entry")
-        if self.sources.shape != self.dests.shape:
-            raise ValueError("source and destination columns differ in length")
 
     def __len__(self) -> int:
-        return int(self.sources.size)
+        return int(self.codes.size)
+
+    @property
+    def sources(self) -> np.ndarray:
+        """Each entry's source ID, decoded from its code."""
+        return self.id_space.union[self.codes // self.id_space.n]
+
+    @property
+    def dests(self) -> np.ndarray:
+        """Each entry's destination ID, decoded from its code."""
+        return self.id_space.union[self.codes % self.id_space.n]
 
     @classmethod
-    def from_arrays(cls, sources, dests, name: str = "trace", copy: bool = True) -> "Trace":
+    def from_arrays(cls, sources, dests, name: str = "trace") -> "Trace":
         """Build a trace from two integer columns, deriving the ID space."""
         src = np.asarray(sources, dtype=np.int64)
         dst = np.asarray(dests, dtype=np.int64)
-        if copy:
-            src, dst = src.copy(), dst.copy()
+        if src.shape != dst.shape:
+            raise ValueError("source and destination columns differ in length")
         if src.size and (src.min() < 0 or dst.min() < 0):
             raise ValueError("canonical IDs must be non-negative")
-        return cls(sources=src, dests=dst, id_space=IdSpace.from_columns(src, dst), name=name)
+        space = IdSpace.from_columns(src, dst)
+        ids = space.union
+        codes = np.searchsorted(ids, src) * ids.size
+        codes += np.searchsorted(ids, dst)
+        return cls(codes.astype(_code_word(ids.size)), space, name)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]], name: str = "trace") -> "Trace":
-        arr = np.asarray(list(pairs), dtype=np.int64)
-        if arr.size == 0:
-            raise EmptyTraceError("trace must contain at least one entry")
-        return cls.from_arrays(arr[:, 0], arr[:, 1], name=name, copy=False)
-
-    def replaced(self, sources: np.ndarray, dests: np.ndarray, name: str | None = None) -> "Trace":
-        """Same ID space, new columns (used by transforms that preserve the domain)."""
-        return Trace(sources=sources, dests=dests, id_space=self.id_space,
-                     name=self.name if name is None else name)
+        src, dst = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2).T
+        return cls.from_arrays(src, dst, name=name)
 
 
 @dataclass(frozen=True)
@@ -146,9 +153,17 @@ def parse_trace(stream: IO, fmt: CsvFormat = CsvFormat(), name: str = "trace") -
             batches.append(relabel(codes, run.ids, mapping))
     if not batches:
         raise EmptyTraceError("no entries parsed from input")
-    sources = np.concatenate([b[0::2] for b in batches], dtype=np.int64)
-    dests = np.concatenate([b[1::2] for b in batches], dtype=np.int64)
-    return Trace(sources, dests, IdSpace.from_columns(sources, dests), name=name)
+    # Each record's source and destination, interleaved. The relabeled IDs
+    # are 0..n-1 and each occurs, so an ID is its own rank.
+    ids = np.concatenate(batches)
+    del batches
+    n = len(mapping)
+    space = IdSpace(np.flatnonzero(np.bincount(ids[0::2], minlength=n)),
+                    np.flatnonzero(np.bincount(ids[1::2], minlength=n)))
+    codes = ids[0::2].astype(_code_word(n))
+    codes *= n
+    np.add(codes, ids[1::2], out=codes, casting="unsafe")  # the sum fits the word
+    return Trace(codes, space, name)
 
 
 def load_trace(path, fmt: CsvFormat = CsvFormat(), name: str | None = None) -> Trace:
@@ -171,41 +186,23 @@ def _render_fixed_width(values: np.ndarray, width: int, out: np.ndarray) -> None
         rem //= 10
 
 
-#: Rows ``write_trace`` renders and writes at a time: 256 KB of text at
+#: Rows ``write_trace`` renders and writes at a time: 64 KB of text at
 #: 3-digit IDs, so a write needs no copy of the whole text.
-_WRITE_ROWS = 1 << 15
-
-
-def pair_codes(trace: Trace) -> tuple[np.ndarray, int]:
-    """Each entry's pair as the int64 number rank(src)*n + rank(dst), and n.
-
-    A rank is the ID's position in the trace's ID union, so the codes lie in
-    0..n*n-1 whatever the IDs; the IDs of a parsed or generated trace already
-    are 0..n-1 and keep their values.
-    """
-    ids = trace.id_space.union
-    n = int(ids.size)
-    sources, dests = trace.sources, trace.dests
-    if ids[-1] != n - 1:
-        sources, dests = np.searchsorted(ids, sources), np.searchsorted(ids, dests)
-    codes = sources * n
-    codes += dests
-    return codes, n
+_WRITE_ROWS = 1 << 13
 
 
 def encode_canonical(trace: Trace) -> bytes:
-    """The bytes compression measures: each entry's ``pair_codes`` number,
-    big-endian, in the fewest whole bytes that hold n*n - 1.
+    """The bytes compression measures: each entry's pair code, big-endian,
+    in the fewest whole bytes that hold n*n - 1.
 
     That is 1 byte per entry at n <= 16, 2 bytes up to 256 and 3 up to 4096.
     The width depends on the ID space alone, so a trace and its shuffled and
     uniform counterparts are encoded alike. Output is deterministic.
     """
-    codes, n = pair_codes(trace)
+    n = trace.id_space.n
     width = max(1, ((n * n - 1).bit_length() + 7) // 8)
-    item = 1 << (width - 1).bit_length()  # the numpy word that holds width bytes
-    words = codes.astype(f">u{item}").view(np.uint8).reshape(-1, item)
-    return words[:, item - width:].tobytes()
+    words = trace.codes.astype(trace.codes.dtype.newbyteorder(">"), copy=False)
+    return words.view(np.uint8).reshape(len(trace), -1)[:, words.itemsize - width:].tobytes()
 
 
 def write_trace(trace: Trace, path) -> None:
@@ -215,35 +212,31 @@ def write_trace(trace: Trace, path) -> None:
     The field width is the digit count of the largest canonical ID, so every
     record occupies exactly 2*width + 2 bytes.
 
-    Rows are rendered into one reused block and written a block at a time,
-    so the file's bytes are never held whole. When the largest ID is below
-    the trace length, each ID value is rendered once into a table that is
-    never larger than the trace's text, and a block copies its digits in as
-    one width-byte item per field.
+    Each of the n IDs of the trace's ID space is rendered once into a table,
+    which is never larger than the trace's text. Rows are decoded from their
+    codes a block at a time, their digits copied into one reused block as
+    one width-byte item per field, and the block written, so the file's
+    bytes are never held whole.
     """
-    max_id = int(max(trace.sources.max(), trace.dests.max()))
-    width = len(str(max_id))
+    ids = trace.id_space.union
+    n = ids.size
+    width = len(str(int(ids[-1])))
     item = f"V{width}"
-    digits = None
-    if max_id < len(trace):
-        table = np.empty((max_id + 1, width), dtype=np.uint8)
-        _render_fixed_width(np.arange(max_id + 1), width, table)
-        digits = table.view(item)[:, 0]
+    table = np.empty((n, width), dtype=np.uint8)
+    _render_fixed_width(ids, width, table)
+    digits = table.view(item)[:, 0]
     rows = min(_WRITE_ROWS, len(trace))
     block = np.empty((rows, 2 * width + 2), dtype=np.uint8)
     block[:, width] = ord(",")
     block[:, -1] = ord("\n")
+    rank = np.empty(rows, dtype=np.intp)  # np.take would copy other index types
     with open(path, "wb") as fh:
         for start in range(0, len(trace), rows):
-            part = block[:len(trace) - start]
-            stop = start + len(part)
-            fields = ((trace.sources[start:stop], part[:, :width]),
-                      (trace.dests[start:stop], part[:, width + 1:2 * width + 1]))
-            for ids, field in fields:
-                if digits is None:
-                    _render_fixed_width(ids, width, field)
-                else:
-                    np.take(digits, ids, out=field.view(item)[:, 0])
+            codes = trace.codes[start:start + rows]
+            part, ranks = block[:codes.size], rank[:codes.size]
+            for decode, field in ((np.floor_divide, part[:, :width]),
+                                  (np.remainder, part[:, width + 1:2 * width + 1])):
+                np.take(digits, decode(codes, n, out=ranks), out=field.view(item)[:, 0])
             fh.write(part)
 
 
@@ -258,13 +251,14 @@ def slice_column(trace: Trace, which: str) -> Trace:
     complexity code must be told the result is single-column (see
     complexity.trace_complexity).
     """
+    n = trace.id_space.n
     if which == "source":
-        col = trace.sources
+        ranks = trace.codes // n
     elif which == "destination":
-        col = trace.dests
+        ranks = trace.codes % n
     else:
         raise ValueError(f"unknown column {which!r}, expected 'source' or 'destination'")
+    ranks *= n + 1  # the code of the pair (rank, rank)
     ids = trace.id_space.union
     space = IdSpace(source_ids=ids, dest_ids=ids.copy())
-    return Trace(sources=col.copy(), dests=col.copy(), id_space=space,
-                 name=f"{trace.name}:{which}")
+    return Trace(ranks, space, name=f"{trace.name}:{which}")

@@ -44,7 +44,7 @@ def temporal_shuffle(trace: Trace, seed: RngSeed) -> Trace:
     """Uniform random permutation of the rows; the pair multiset is untouched."""
     rng = seed.generator()
     perm = rng.permutation(len(trace))
-    return trace.replaced(trace.sources[perm], trace.dests[perm])
+    return Trace(trace.codes[perm], trace.id_space, trace.name)
 
 
 UNIFORM_MODES = ("pair", "columnwise", "single")
@@ -81,14 +81,18 @@ def resample_uniform(trace: Trace, seed: RngSeed, mode: str) -> Trace:
     if mode not in UNIFORM_MODES:
         raise ValueError(f"unknown uniform mode {mode!r}, expected one of {UNIFORM_MODES}")
     space = trace.id_space
+    n = space.n
+    ranks = np.arange(n, dtype=trace.codes.dtype)  # the union's IDs, by rank
+    src_ranks = dst_ranks = ranks
     if mode == "columnwise":
-        src_ids, dst_ids = space.source_ids, space.dest_ids
-    else:
-        src_ids = dst_ids = space.union
+        src_ranks = ranks[np.isin(space.union, space.source_ids)]
+        dst_ranks = ranks[np.isin(space.union, space.dest_ids)]
     rng = seed.generator()
     t = len(trace)
-    src = src_ids[rng.integers(0, src_ids.size, size=t)]
+    codes = src_ranks[rng.integers(0, src_ranks.size, size=t)]
     if mode == "single":
-        return trace.replaced(src, src.copy())
-    dst = dst_ids[rng.integers(0, dst_ids.size, size=t)]
-    return trace.replaced(src, dst)
+        codes *= n + 1  # the code of the pair (rank, rank)
+    else:
+        codes *= n
+        codes += dst_ranks[rng.integers(0, dst_ranks.size, size=t)]
+    return Trace(codes, space, trace.name)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracecomplexity import (CompressorHandle, ConfigError, DataError, GeneratorSpec,
-                             IdSpace, MapTarget, REFERENCE_TARGETS, RngSeed, SolverError, Trace,
+                             MapTarget, REFERENCE_TARGETS, RngSeed, SolverError, Trace,
                              TrafficMatrix, empirical_matrix, encode_canonical,
                              generate, joint_entropy, normalized_nontemporal,
                              reference_presets, repeat_chain_entropy_rate,
@@ -306,7 +306,7 @@ def oracle_generate(spec: GeneratorSpec) -> Trace:
     pos = np.where(fresh, np.arange(t), 0)
     np.maximum.accumulate(pos, out=pos)
     src, dst = fresh_src[pos], fresh_dst[pos]
-    return Trace(src, dst, IdSpace(np.unique(src), np.unique(dst)), name=spec.name)
+    return Trace.from_arrays(src, dst, name=spec.name)
 
 
 def oracle_spec_to_json(spec: GeneratorSpec) -> str:

@@ -98,6 +98,24 @@ class TestParse:
         tr = parse_str("4,4\x00\n4\x00\x00,4\n")
         assert (tr.sources.tolist(), tr.dests.tolist()) == ([0, 2], [1, 0])
 
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_peak_memory_at_a_million_entries(self, tmp_path, n):
+        """numpy reports its buffers to tracemalloc. The parse holds each
+        record's two int32 IDs twice, as batches and joined, 16 MB at 1M
+        entries, and no int64 column."""
+        rng = np.random.default_rng(n)
+        path = tmp_path / "t.csv"
+        write_trace(Trace.from_arrays(rng.integers(0, n, 1_000_000),
+                                      rng.integers(0, n, 1_000_000)), path)
+        tracemalloc.start()
+        try:
+            tr = load_trace(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(tr), tr.id_space.n) == (1_000_000, n)
+        assert peak < 20_000_000
+
 
 def oracle_parse(stream, fmt: CsvFormat = CsvFormat(), name: str = "t") -> Trace:
     """The per-row csv loop that parse_trace replaced, kept as its reference.
@@ -347,9 +365,9 @@ def oracle_encode(trace: Trace) -> bytes:
 
 
 class TestEncodeAgainstDigitLoop:
-    """write_trace renders what the per-digit loop rendered, whether it
-    gathers from a table of rendered IDs (largest ID below the length) or
-    renders the columns directly."""
+    """write_trace, which gathers each field from a table of the rendered
+    IDs of the ID space, renders what the per-digit loop rendered, dense
+    IDs or sparse."""
 
     @pytest.mark.parametrize("width", range(1, 14))
     def test_every_width(self, tmp_path_factory, width):
@@ -357,7 +375,7 @@ class TestEncodeAgainstDigitLoop:
         top = 10 ** width - 1
         ids = np.concatenate([[0, 10 ** (width - 1), top], rng.integers(0, top + 1, 97)])
         cases = [ids, ids[::-1]]
-        if top < 20_000:  # long enough for the table
+        if top < 20_000:  # as many entries as ID values
             cases.append(rng.integers(0, top + 1, top + 1))
             cases[-1][0] = top
         for column in cases:
@@ -366,7 +384,7 @@ class TestEncodeAgainstDigitLoop:
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["table-one-short", "table-exactly"])
     def test_table_threshold(self, tmp_path_factory, extra):
-        # largest ID 99, so the table has 100 rows; the trace has 99 or 100 entries
+        # largest ID 99 in a trace of 99 or 100 entries
         ids = np.arange(99 + extra) % 100
         ids[-1] = 99
         tr = Trace.from_arrays(ids, ids[::-1])
@@ -401,7 +419,7 @@ class TestWriteTraceInBlocks:
 
     @pytest.mark.parametrize("length", [1, 2, 3, 64, 65, 96, 97])
     def test_last_block_short_or_full(self, tmp_path, length):
-        # blocks of 32 rows; the largest ID is below the length from 64 rows on
+        # blocks of 32 rows, the last one short or full
         ids = np.arange(length) % 61
         tr = Trace.from_arrays(ids, ids[::-1])
         with mock.patch.object(trace_module, "_WRITE_ROWS", 32):
@@ -441,6 +459,8 @@ def ranks(trace: Trace, column: np.ndarray) -> list[int]:
 
 #: n -> bytes per entry: the fewest whole bytes that hold n*n - 1.
 PAIR_CODE_WIDTHS = {1: 1, 2: 1, 16: 1, 17: 2, 256: 2, 257: 3, 3040: 3}
+#: bytes per entry -> the word a trace stores its codes in.
+PAIR_CODE_WORDS = {1: np.uint8, 2: np.uint16, 3: np.uint32}
 
 
 class TestPairCode:
@@ -461,6 +481,7 @@ class TestPairCode:
         assert tr.id_space.n == n
         data = encode_canonical(tr)
         assert len(data) == len(tr) * PAIR_CODE_WIDTHS[n]
+        assert tr.codes.dtype == PAIR_CODE_WORDS[PAIR_CODE_WIDTHS[n]]
         assert decode_pair_code(data, n) == (ranks(tr, tr.sources), ranks(tr, tr.dests))
 
     def test_dense_ids_keep_their_values(self):
@@ -509,15 +530,17 @@ class TestPairCode:
             assert default_uniform_mode(tr) == mode
         width = len(encode_canonical(tr)) // len(tr)
         assert width == PAIR_CODE_WIDTHS[n]
+        assert tr.codes.dtype == PAIR_CODE_WORDS[width]
         for k in range(3):
             for other in (temporal_shuffle(tr, RngSeed(k)),
                           resample_uniform(tr, RngSeed(k), mode)):
                 assert len(encode_canonical(other)) == width * len(tr)
+                assert other.codes.dtype == PAIR_CODE_WORDS[width]
 
 
 class TestIdSpaceFromColumns:
-    """Counting (IDs below the columns' combined length) and sorting (sparse
-    IDs) find the same ID space as np.unique."""
+    """from_columns finds each column's sorted distinct IDs as int64, dense
+    IDs or sparse."""
 
     @given(st.lists(st.tuples(st.integers(0, 40) | st.just(2 ** 40), st.integers(0, 40)),
                     min_size=1, max_size=40))
