@@ -13,9 +13,8 @@ synthesizes a trace with a first-order repeat chain.
 from .complexity import (ComplexityPoint, CompressorHandle, clear_size_cache,
                          complexity_of_slices, compressed_size, default_compressor,
                          trace_complexity)
-from .entropy import (TrafficMatrix, binary_entropy, empirical_matrix, joint_entropy,
-                      model_temporal_ratio, normalized_nontemporal,
-                      repeat_chain_entropy_rate, solve_chain_repeat_probability,
+from .entropy import (TrafficMatrix, empirical_matrix, joint_entropy,
+                      normalized_nontemporal, repeat_chain_entropy_rate,
                       solve_repeat_probability, solve_zipf_exponent, zipf_matrix)
 from .errors import (ConfigError, DataError, EmptyTraceError, SolverError,
                      TraceComplexityError, TraceParseError)
@@ -49,7 +48,6 @@ __all__ = [
     "TraceComplexityError",
     "TraceParseError",
     "TrafficMatrix",
-    "binary_entropy",
     "clear_size_cache",
     "complexity_map_svg",
     "complexity_of_slices",
@@ -63,14 +61,12 @@ __all__ = [
     "load_report",
     "load_trace",
     "matrix_heatmap_svg",
-    "model_temporal_ratio",
     "normalized_nontemporal",
     "parse_trace",
     "reference_presets",
     "repeat_chain_entropy_rate",
     "resample_uniform",
     "slice_column",
-    "solve_chain_repeat_probability",
     "solve_repeat_probability",
     "solve_zipf_exponent",
     "spec_from_json",

@@ -55,7 +55,7 @@ class TrafficMatrix:
         dst = np.array([p[1] for p in pairs], dtype=np.int64)
         probs = np.array([cells[p] for p in pairs], dtype=np.float64)
         if n is None:
-            n = int(np.union1d(src, dst).size)
+            n = int(np.unique(np.concatenate((src, dst))).size)
         return cls(src, dst, probs, n)
 
     @classmethod
@@ -86,15 +86,6 @@ class TrafficMatrix:
         return dense
 
 
-def binary_entropy(p: float) -> float:
-    """H(p, 1-p) in bits; 0 at both endpoints."""
-    if p < 0.0 or p > 1.0:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
 def joint_entropy(matrix: TrafficMatrix) -> float:
     """-sum p*log2(p) over the support, with 0*log(0) = 0."""
     p = matrix.probs[matrix.probs > 0]
@@ -107,55 +98,6 @@ def normalized_nontemporal(matrix: TrafficMatrix) -> float:
     if matrix.n < 2:
         raise SolverError("normalized entropy is undefined for n=1 (ceiling is 0)")
     return joint_entropy(matrix) / (2.0 * math.log2(matrix.n))
-
-
-def model_temporal_ratio(repeat_p: float, h_matrix: float) -> float:
-    """Predicted temporal ratio x = (H(p,1-p) + (1-p)*H_M) / H_M.
-
-    May exceed 1 for small p when the repeat indicator contributes more
-    entropy than repetition removes; returned as-is.
-    """
-    if not 0.0 <= repeat_p <= 1.0:
-        raise ValueError(f"repeat probability {repeat_p} outside [0, 1]")
-    if h_matrix <= 0.0:
-        raise SolverError("temporal ratio is undefined for a zero-entropy matrix")
-    return (binary_entropy(repeat_p) + (1.0 - repeat_p) * h_matrix) / h_matrix
-
-
-def solve_repeat_probability(x_target: float, h_matrix: float, tol: float = 1e-10) -> float:
-    """Invert model_temporal_ratio on its decreasing branch.
-
-    The additive ratio is a closed-form upper bound on the exact one;
-    ``solve_chain_repeat_probability`` inverts the exact ratio, which is what
-    the generator solves.
-
-    The forward map rises from x(0)=1 to a peak at p_peak = 1/(1+2^H_M) and
-    then falls monotonically to x(1)=0; every target in [0, 1] has exactly one
-    preimage in [p_peak, 1], found here by bisection until the forward
-    residual drops below ``tol``.
-    """
-    if h_matrix <= 0.0:
-        raise SolverError("cannot solve repeat probability for a zero-entropy matrix")
-    if not 0.0 <= x_target <= 1.0:
-        raise SolverError(f"temporal target {x_target} outside [0, 1]")
-    if x_target == 0.0:
-        return 1.0
-
-    def residual(p: float) -> float:
-        return binary_entropy(p) + (1.0 - p) * h_matrix - x_target * h_matrix
-
-    lo = 1.0 / (1.0 + 2.0 ** h_matrix)  # peak of the forward map
-    hi = 1.0
-    while hi - lo > 1e-16:
-        mid = 0.5 * (lo + hi)
-        r = residual(mid)
-        if abs(r) < tol:
-            return mid
-        if r > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 def zipf_matrix(n_ids: int, exponent: float) -> TrafficMatrix:
@@ -278,7 +220,7 @@ def repeat_chain_entropy_rate(matrix: TrafficMatrix, repeat_p: float) -> float:
     return float(h_all_base + plogp_base.sum())
 
 
-def solve_chain_repeat_probability(matrix: TrafficMatrix, x_target: float) -> float:
+def solve_repeat_probability(matrix: TrafficMatrix, x_target: float) -> float:
     """Repeat probability at which the chain's exact temporal ratio
     ``repeat_chain_entropy_rate(matrix, p) / H(matrix)`` equals x_target.
 
@@ -286,7 +228,7 @@ def solve_chain_repeat_probability(matrix: TrafficMatrix, x_target: float) -> fl
     to 0 at p = 1, so plain bisection over [0, 1] inverts it. Sixty halvings
     leave an interval of 2**-60, finer than the spacing of doubles near 1,
     and the midpoint is returned. x = 1 gives p = 0 and x = 0 gives p = 1
-    exactly. ``solve_repeat_probability`` inverts the additive bound instead.
+    exactly.
     """
     h = joint_entropy(matrix)
     if h <= 0.0:

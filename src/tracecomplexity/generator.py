@@ -20,7 +20,7 @@ import numpy as np
 
 from .complexity import CompressorHandle, _measure_temporal, short_trace_warning
 from .entropy import (TrafficMatrix, empirical_matrix, joint_entropy,
-                      solve_chain_repeat_probability, solve_zipf_exponent, zipf_matrix)
+                      solve_repeat_probability, solve_zipf_exponent, zipf_matrix)
 from .errors import ConfigError, DataError, SolverError
 from .trace import Trace
 from .transforms import RngSeed
@@ -128,7 +128,7 @@ def spec_from_target(target: MapTarget,
                              name=name or "degenerate")
     exponent = solve_zipf_exponent(target.n_ids, target.y)
     matrix = zipf_matrix(target.n_ids, exponent)
-    repeat_p = solve_chain_repeat_probability(matrix, target.x)
+    repeat_p = solve_repeat_probability(matrix, target.x)
     return GeneratorSpec(matrix=matrix, repeat_p=repeat_p, length=length, seed=seed,
                          name=name or f"target({target.x:g},{target.y:g})",
                          zipf_exponent=exponent)
@@ -164,7 +164,7 @@ def spec_from_trace(trace: Trace,
                 f"measured temporal ratio {measured:.4f} exceeds 1 (compressor "
                 f"noise); solving with 1.0")
             measured = 1.0
-        repeat_p = solve_chain_repeat_probability(matrix, measured)
+        repeat_p = solve_repeat_probability(matrix, measured)
     return GeneratorSpec(matrix=matrix, repeat_p=repeat_p, length=len(trace),
                          seed=seed, name=f"fit:{trace.name}", warnings=tuple(warnings))
 

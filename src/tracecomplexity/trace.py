@@ -29,28 +29,28 @@ def _code_word(n: int) -> np.dtype:
 
 @dataclass(frozen=True)
 class IdSpace:
-    """Canonical IDs observed in each column; ``n`` is the union size."""
+    """The sorted IDs a trace uses, and which of them each column uses;
+    ``n`` is the number of IDs. An ID's rank is its position in ``union``."""
 
-    source_ids: np.ndarray  # sorted unique int64
-    dest_ids: np.ndarray    # sorted unique int64
-
-    @classmethod
-    def from_columns(cls, sources: np.ndarray, dests: np.ndarray) -> "IdSpace":
-        """The IDs found in two columns of non-negative int64 IDs."""
-        return cls(source_ids=np.unique(sources), dest_ids=np.unique(dests))
-
-    @property
-    def union(self) -> np.ndarray:
-        return np.union1d(self.source_ids, self.dest_ids)
+    union: np.ndarray      # sorted unique int64
+    in_source: np.ndarray  # bool per union ID: the source column uses it
+    in_dest: np.ndarray    # bool per union ID: the destination column uses it
 
     @property
     def n(self) -> int:
         return int(self.union.size)
 
+    @property
+    def source_ids(self) -> np.ndarray:
+        return self.union[self.in_source]
+
+    @property
+    def dest_ids(self) -> np.ndarray:
+        return self.union[self.in_dest]
+
     def symmetric_difference_ratio(self) -> float:
         """|source_ids XOR dest_ids| / n, a measure of column asymmetry."""
-        sym = np.setxor1d(self.source_ids, self.dest_ids)
-        return sym.size / self.n
+        return int(np.count_nonzero(self.in_source != self.in_dest)) / self.n
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,13 @@ class Trace:
             raise ValueError("source and destination columns differ in length")
         if src.size and (src.min() < 0 or dst.min() < 0):
             raise ValueError("canonical IDs must be non-negative")
-        space = IdSpace.from_columns(src, dst)
-        ids = space.union
-        codes = np.searchsorted(ids, src) * ids.size
-        codes += np.searchsorted(ids, dst)
-        return cls(codes.astype(_code_word(ids.size)), space, name)
+        ids, ranks = np.unique(np.concatenate((src, dst)), return_inverse=True)
+        n, k = ids.size, src.size
+        space = IdSpace(ids, np.bincount(ranks[:k], minlength=n) > 0,
+                        np.bincount(ranks[k:], minlength=n) > 0)
+        codes = ranks[:k] * n
+        codes += ranks[k:]
+        return cls(codes.astype(_code_word(n)), space, name)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[tuple[int, int]], name: str = "trace") -> "Trace":
@@ -158,8 +160,9 @@ def parse_trace(stream: IO, fmt: CsvFormat = CsvFormat(), name: str = "trace") -
     ids = np.concatenate(batches)
     del batches
     n = len(mapping)
-    space = IdSpace(np.flatnonzero(np.bincount(ids[0::2], minlength=n)),
-                    np.flatnonzero(np.bincount(ids[1::2], minlength=n)))
+    space = IdSpace(np.arange(n, dtype=np.int64),
+                    np.bincount(ids[0::2], minlength=n) > 0,
+                    np.bincount(ids[1::2], minlength=n) > 0)
     codes = ids[0::2].astype(_code_word(n))
     codes *= n
     np.add(codes, ids[1::2], out=codes, casting="unsafe")  # the sum fits the word
@@ -259,6 +262,6 @@ def slice_column(trace: Trace, which: str) -> Trace:
     else:
         raise ValueError(f"unknown column {which!r}, expected 'source' or 'destination'")
     ranks *= n + 1  # the code of the pair (rank, rank)
-    ids = trace.id_space.union
-    space = IdSpace(source_ids=ids, dest_ids=ids.copy())
+    everywhere = np.ones(n, dtype=bool)
+    space = IdSpace(trace.id_space.union, everywhere, everywhere)
     return Trace(ranks, space, name=f"{trace.name}:{which}")

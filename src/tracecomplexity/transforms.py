@@ -85,8 +85,7 @@ def resample_uniform(trace: Trace, seed: RngSeed, mode: str) -> Trace:
     ranks = np.arange(n, dtype=trace.codes.dtype)  # the union's IDs, by rank
     src_ranks = dst_ranks = ranks
     if mode == "columnwise":
-        src_ranks = ranks[np.isin(space.union, space.source_ids)]
-        dst_ranks = ranks[np.isin(space.union, space.dest_ids)]
+        src_ranks, dst_ranks = ranks[space.in_source], ranks[space.in_dest]
     rng = seed.generator()
     t = len(trace)
     codes = src_ranks[rng.integers(0, src_ranks.size, size=t)]

@@ -16,7 +16,7 @@ from scipy import stats
 from tracecomplexity import (AnalysisReport, CompressorHandle, GeneratorSpec, MapPoint,
                              RngSeed, TrafficMatrix, complexity_map_svg,
                              empirical_matrix, encode_canonical, generate,
-                             joint_entropy, model_temporal_ratio, normalized_nontemporal,
+                             joint_entropy, normalized_nontemporal,
                              reference_presets, repeat_chain_entropy_rate,
                              resample_uniform, solve_repeat_probability,
                              solve_zipf_exponent, spec_from_trace, temporal_shuffle,
@@ -191,18 +191,24 @@ def test_criterion_6_fit_round_trip(preset_results):
 
 
 def test_criterion_7_solver_identities():
+    # The generator's solver against the exact chain rate it inverts, over
+    # matrices whose entropies run from 0.96 to 16 bits.
+    matrices = [zipf_matrix(4, 3.0), zipf_matrix(16, 1.2), TrafficMatrix.uniform(16),
+                zipf_matrix(64, 5 / 3), zipf_matrix(256, 0.8), TrafficMatrix.uniform(256)]
     worst = 0.0
-    for h in (0.5, 2.0, 4.0, 8.0, 16.0):
+    for m in matrices:
+        h = joint_entropy(m)
         for x in np.linspace(0.02, 1.0, 10):
-            p = solve_repeat_probability(float(x), h)
-            worst = max(worst, abs(model_temporal_ratio(p, h) - float(x)))
-    endpoints_exact = (model_temporal_ratio(0.0, 8.0) == 1.0
-                       and model_temporal_ratio(1.0, 8.0) == 0.0
-                       and solve_repeat_probability(0.0, 8.0) == 1.0)
+            p = solve_repeat_probability(m, float(x))
+            worst = max(worst, abs(repeat_chain_entropy_rate(m, p) / h - float(x)))
+    m = matrices[1]
+    endpoints_exact = (repeat_chain_entropy_rate(m, 0.0) / joint_entropy(m) == 1.0
+                       and repeat_chain_entropy_rate(m, 1.0) == 0.0
+                       and solve_repeat_probability(m, 0.0) == 1.0)
     ok = worst < 1e-8 and endpoints_exact
     announce(7, "solver identities", ok,
-             f"max round-trip error {worst:.2e} < 1e-8 over 50 (x, H) pairs; "
-             f"endpoint identities exact: {endpoints_exact}")
+             f"max round-trip error {worst:.2e} < 1e-8 over {10 * len(matrices)} "
+             f"(matrix, x) pairs; endpoint identities exact: {endpoints_exact}")
     assert ok
 
 

@@ -12,10 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tracecomplexity import (GeneratorSpec, RngSeed, SolverError, Trace, TrafficMatrix,
-                             binary_entropy, empirical_matrix, generate, joint_entropy,
-                             model_temporal_ratio, normalized_nontemporal,
-                             repeat_chain_entropy_rate, resample_uniform,
-                             solve_chain_repeat_probability, solve_repeat_probability,
+                             empirical_matrix, generate, joint_entropy,
+                             normalized_nontemporal, repeat_chain_entropy_rate,
+                             resample_uniform, solve_repeat_probability,
                              solve_zipf_exponent, temporal_shuffle, zipf_matrix)
 
 # Normalized joint entropy of the 256-cell Zipf matrix at pmf exponent 5/3,
@@ -25,22 +24,6 @@ NORM_H_AT_5_3 = 0.40952815295574035
 EXPONENT_AT_Y_04 = 1.6887054443359375
 # Exact entropy rate of the repeat chain over uniform 16x16, p = 0.5.
 RATE_UNIFORM_HALF = 4.981551739955417
-
-
-class TestBinaryEntropy:
-    def test_symmetric_peak(self):
-        assert binary_entropy(0.5) == 1.0
-
-    def test_endpoints(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
-
-    def test_known_value(self):
-        assert binary_entropy(0.11) == pytest.approx(0.499915958164528, abs=1e-12)
-
-    @given(st.floats(0.001, 0.999))
-    def test_symmetry(self, p):
-        assert binary_entropy(p) == pytest.approx(binary_entropy(1 - p), abs=1e-12)
 
 
 class TestTrafficMatrix:
@@ -79,63 +62,6 @@ class TestNormalized:
         m = TrafficMatrix.from_cells({(0, 0): 1.0}, n=1)
         with pytest.raises(SolverError):
             normalized_nontemporal(m)
-
-
-class TestModelRatio:
-    def test_p_zero_is_one(self):
-        assert model_temporal_ratio(0.0, 8.0) == 1.0
-
-    def test_p_one_is_zero(self):
-        assert model_temporal_ratio(1.0, 8.0) == 0.0
-
-    def test_midpoint(self):
-        assert model_temporal_ratio(0.5, 8.0) == pytest.approx(0.625, abs=1e-15)
-
-    def test_can_exceed_one_for_small_p(self):
-        # binary entropy of the repeat flag can outweigh p bits of matrix entropy
-        assert model_temporal_ratio(0.005, 8.0) > 1.0
-
-    def test_zero_entropy_rejected(self):
-        with pytest.raises(SolverError):
-            model_temporal_ratio(0.5, 0.0)
-
-
-class TestSolveRepeatProbability:
-    def test_x_zero_gives_p_one(self):
-        assert solve_repeat_probability(0.0, 8.0) == 1.0
-
-    def test_x_one_root_on_decreasing_branch(self):
-        p = solve_repeat_probability(1.0, 8.0)
-        assert p == pytest.approx(0.010562162686878603, abs=1e-9)
-        assert model_temporal_ratio(p, 8.0) == pytest.approx(1.0, abs=1e-9)
-        assert p > 1.0 / (1.0 + 2.0 ** 8)  # strictly above the peak
-
-    def test_forward_check_x_04(self):
-        p = solve_repeat_probability(0.4, 8.0)
-        assert model_temporal_ratio(p, 8.0) == pytest.approx(0.4, abs=1e-9)
-
-    def test_inverts_forward_formula(self):
-        assert solve_repeat_probability(0.625, 8.0) == pytest.approx(0.5, abs=1e-8)
-
-    def test_x_out_of_range(self):
-        with pytest.raises(SolverError):
-            solve_repeat_probability(1.2, 8.0)
-        with pytest.raises(SolverError):
-            solve_repeat_probability(-0.1, 8.0)
-
-    def test_zero_entropy_rejected(self):
-        with pytest.raises(SolverError):
-            solve_repeat_probability(0.5, 0.0)
-
-    @given(st.floats(0.02, 1.0), st.floats(0.5, 16.0))
-    def test_round_trip_identity(self, x, h):
-        p = solve_repeat_probability(x, h)
-        assert model_temporal_ratio(p, h) == pytest.approx(x, abs=1e-8)
-
-    @given(st.floats(0.5, 16.0))
-    def test_monotone_in_x(self, h):
-        ps = [solve_repeat_probability(x, h) for x in (0.2, 0.5, 0.9)]
-        assert ps[0] > ps[1] > ps[2]
 
 
 class TestZipfMatrix:
@@ -281,7 +207,8 @@ class TestRepeatChainRate:
         # under H2(p) + (1-p) H(M)
         m = TrafficMatrix.uniform(16)
         for p in (0.1, 0.5, 0.9):
-            additive = binary_entropy(p) + (1 - p) * joint_entropy(m)
+            h_repeat = -p * np.log2(p) - (1 - p) * np.log2(1 - p)
+            additive = h_repeat + (1 - p) * joint_entropy(m)
             rate = repeat_chain_entropy_rate(m, p)
             assert rate < additive
             assert rate > (1 - p) * joint_entropy(m) - 1e-12
@@ -332,45 +259,38 @@ class TestSolveChainRepeatProbability:
         m = zipf_matrix(n, exponent)
         h = joint_entropy(m)
         for x in np.linspace(0.0, 1.0, 21):
-            p = solve_chain_repeat_probability(m, float(x))
+            p = solve_repeat_probability(m, float(x))
             assert repeat_chain_entropy_rate(m, p) / h == pytest.approx(float(x), abs=1e-9)
 
     def test_endpoints_exact(self):
         m = zipf_matrix(16, 1.0)
-        assert solve_chain_repeat_probability(m, 1.0) == 0.0
-        assert solve_chain_repeat_probability(m, 0.0) == 1.0
+        assert solve_repeat_probability(m, 1.0) == 0.0
+        assert solve_repeat_probability(m, 0.0) == 1.0
 
     def test_targets_next_to_the_endpoints(self):
         # a target one ulp inside [0, 1] still ends, and inverts the ratio
         m = zipf_matrix(16, 1.0)
         h = joint_entropy(m)
         for x in (np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0)):
-            p = solve_chain_repeat_probability(m, float(x))
+            p = solve_repeat_probability(m, float(x))
             assert 0.0 <= p <= 1.0
             assert repeat_chain_entropy_rate(m, p) / h == pytest.approx(float(x), abs=1e-9)
 
     def test_decreasing_in_x(self):
         m = zipf_matrix(16, 1.0)
-        ps = [solve_chain_repeat_probability(m, x) for x in (0.2, 0.5, 0.9, 0.999)]
+        ps = [solve_repeat_probability(m, x) for x in (0.2, 0.5, 0.9, 0.999)]
         assert ps[0] > ps[1] > ps[2] > ps[3] > 0.0
-
-    def test_below_the_additive_solution(self):
-        # the exact rate lies under the additive bound at every p, so the
-        # exact ratio falls to a target at a smaller p
-        m = zipf_matrix(16, 1.0)
-        assert solve_chain_repeat_probability(m, 0.4) < \
-            solve_repeat_probability(0.4, joint_entropy(m))
 
     def test_x_out_of_range(self):
         m = zipf_matrix(4, 1.0)
         for x in (1.2, -0.1):
             with pytest.raises(SolverError):
-                solve_chain_repeat_probability(m, x)
+                solve_repeat_probability(m, x)
 
     def test_zero_entropy_rejected(self):
         m = TrafficMatrix.from_cells({(0, 0): 1.0}, n=4)
         with pytest.raises(SolverError):
-            solve_chain_repeat_probability(m, 0.5)
+            solve_repeat_probability(m, 0.5)
 
 
 def test_generated_trace_matches_rate_oracle():

@@ -19,7 +19,7 @@ from tracecomplexity import (CompressorHandle, ConfigError, DataError, Generator
                              TrafficMatrix, empirical_matrix, encode_canonical,
                              generate, joint_entropy, normalized_nontemporal,
                              reference_presets, repeat_chain_entropy_rate,
-                             solve_chain_repeat_probability, spec_from_json,
+                             solve_repeat_probability, spec_from_json,
                              spec_from_target, spec_from_trace, spec_to_json,
                              trace_complexity, write_spec, zipf_matrix)
 from tracecomplexity import generator as generator_module
@@ -159,7 +159,7 @@ class TestSpecFromTrace:
                               seed=RngSeed(4))
         point = trace_complexity(bursty_trace, deflate, trials=trials, seed=RngSeed(4))
         matrix = empirical_matrix(bursty_trace)
-        assert fit.repeat_p == solve_chain_repeat_probability(matrix, min(point.temporal, 1.0))
+        assert fit.repeat_p == solve_repeat_probability(matrix, min(point.temporal, 1.0))
         assert exact_ratio(fit) == pytest.approx(point.temporal, abs=1e-9)
 
     def test_no_uniform_counterpart_made(self, bursty_trace, deflate):
@@ -211,7 +211,7 @@ class TestSpecFromTrace:
             fit = spec_from_trace(uniform_trace, trials=1, compressor=deflate)
         assert fit.warnings == ("measured temporal ratio 1.0200 exceeds 1 (compressor "
                                 "noise); solving with 1.0",)
-        assert fit.repeat_p == solve_chain_repeat_probability(fit.matrix, 1.0)
+        assert fit.repeat_p == solve_repeat_probability(fit.matrix, 1.0)
 
     def test_warnings_not_serialized_or_compared(self, deflate):
         fit = spec_from_trace(Trace.from_pairs([(3, 3)] * 1000), trials=1,

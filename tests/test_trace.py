@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracecomplexity import (CsvFormat, EmptyTraceError, IdSpace, Trace, TraceParseError,
+from tracecomplexity import (CsvFormat, EmptyTraceError, Trace, TraceParseError,
                              empirical_matrix, encode_canonical, joint_entropy,
                              load_trace, parse_trace, slice_column, write_trace)
 from tracecomplexity import (RngSeed, default_uniform_mode, resample_uniform,
@@ -538,17 +538,23 @@ class TestPairCode:
                 assert other.codes.dtype == PAIR_CODE_WORDS[width]
 
 
-class TestIdSpaceFromColumns:
-    """from_columns finds each column's sorted distinct IDs as int64, dense
-    IDs or sparse."""
+class TestIdSpaceFromArrays:
+    """A trace's ID space holds each column's sorted distinct IDs as int64,
+    dense IDs or sparse, whether built from arrays or parsed."""
 
     @given(st.lists(st.tuples(st.integers(0, 40) | st.just(2 ** 40), st.integers(0, 40)),
                     min_size=1, max_size=40))
     def test_same_as_unique(self, pairs):
         src, dst = np.array(pairs, dtype=np.int64).T
-        space = IdSpace.from_columns(src, dst)
+        space = Trace.from_arrays(src, dst).id_space
         assert (space.source_ids.tolist(), space.dest_ids.tolist()) == \
             (np.unique(src).tolist(), np.unique(dst).tolist())
+        assert space.source_ids.dtype == space.dest_ids.dtype == np.int64
+        # "s" only ever sends and "d" only receives, so the columns differ
+        parsed = parse_str("s,d\n" + "".join(f"{a},{b}\n" for a, b in pairs))
+        space = parsed.id_space
+        assert (space.source_ids.tolist(), space.dest_ids.tolist()) == \
+            (np.unique(parsed.sources).tolist(), np.unique(parsed.dests).tolist())
         assert space.source_ids.dtype == space.dest_ids.dtype == np.int64
 
 
