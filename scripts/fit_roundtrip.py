@@ -13,10 +13,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from tracecomplexity import (ConfigError, MapTarget, RngSeed, default_compressor, generate,
-                             load_trace, spec_from_target, spec_from_trace,
-                             trace_complexity, write_spec, write_trace)
-from tracecomplexity.cli import EXIT_SOLVER, _emit_warnings, _int_at_least
+from tracecomplexity import (MapTarget, RngSeed, default_compressor, generate, load_trace,
+                             spec_from_target, spec_from_trace, trace_complexity,
+                             write_spec, write_trace)
+from tracecomplexity.cli import _emit_warnings, _int_at_least
 from tracecomplexity.complexity import DEFAULT_LEVELS
 
 
@@ -31,11 +31,7 @@ def main(argv=None) -> int:
     parser.add_argument("--outdir", default="out/fit", help="output directory")
     args = parser.parse_args(argv)
 
-    try:
-        comp = default_compressor(args.compressor)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SOLVER
+    comp = default_compressor(args.compressor)
     seed = RngSeed(args.seed)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -49,7 +45,7 @@ def main(argv=None) -> int:
         write_trace(original, outdir / "demo.csv")
         print(f"demo trace: p={demo_spec.repeat_p:.4f}, {args.length} entries")
 
-    fitted = spec_from_trace(original, trials=args.trials, compressor=comp, seed=seed)
+    fitted = spec_from_trace(original, comp, trials=args.trials, seed=seed)
     _emit_warnings(fitted.warnings)
     write_spec(fitted, outdir / "fitted.spec.json")
     regen = generate(fitted)

@@ -68,7 +68,7 @@ def _add_format_args(p: argparse.ArgumentParser) -> None:
 def _add_compressor_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("compressor")
     g.add_argument("--compressor", choices=sorted(DEFAULT_LEVELS), default=None,
-                   help="backend (default: lzma, or $TRACE_COMPLEXITY_COMPRESSOR)")
+                   help="backend (default: lzma)")
     g.add_argument("--level", type=int, default=None, help="compression level")
     g.add_argument("--dict-size", type=int, default=None,
                    help="lzma dictionary size in bytes (default: sized to each buffer "
@@ -137,12 +137,13 @@ def cmd_generate(args) -> int:
             spec = spec_from_json(Path(args.spec).read_text(encoding="utf-8"))
         except UnicodeDecodeError as e:
             raise DataError(f"{args.spec}: not UTF-8 text ({e.reason})") from e
+        except DataError as e:
+            raise DataError(f"{args.spec}: {e}") from e
     else:
         fmt = _format(args)
         original = load_trace(args.fit, fmt)
         compressor = default_compressor(args.compressor, args.level, args.dict_size)
-        spec = spec_from_trace(original, trials=args.trials, compressor=compressor,
-                               seed=seed)
+        spec = spec_from_trace(original, compressor, trials=args.trials, seed=seed)
         _emit_warnings(spec.warnings)
         print(f"fitted matrix entropy: {joint_entropy(spec.matrix):.6f} bits")
         print(f"repeat probability: {spec.repeat_p:.6f}")
@@ -222,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="complexity-map target (temporal, non-temporal)")
     src.add_argument("--spec", default=None, help="generator spec JSON to replay")
     src.add_argument("--fit", default=None, help="trace CSV to fit a spec from")
-    p.add_argument("--n", type=int, default=16, help="ID count for --target (default: 16)")
-    p.add_argument("--length", type=int, default=None,
+    p.add_argument("--n", type=_int_at_least(2), default=16,
+                   help="ID count for --target (default: 16)")
+    p.add_argument("--length", type=_int_at_least(1), default=None,
                    help="entries to generate (default: 1000000, or the spec/fit length)")
     p.add_argument("--seed", type=_int_at_least(0), default=0, help="base RNG seed (default: 0)")
     p.add_argument("--allow-degenerate", action="store_true",

@@ -44,9 +44,6 @@ def short_trace_warning(length: int) -> str | None:
             f"{MIN_RECOMMENDED_LENGTH}; compression overhead may dominate the ratios")
 
 
-ENV_COMPRESSOR = "TRACE_COMPLEXITY_COMPRESSOR"
-
-
 @dataclass(frozen=True)
 class CompressorHandle:
     """A named compression backend with pinned settings.
@@ -54,8 +51,9 @@ class CompressorHandle:
     The same handle applied to the same bytes always yields the same size.
     ``lzma`` (raw LZMA2 stream) is the default; ``deflate`` (raw DEFLATE) is
     a faster, less thorough alternative. Sizes exclude any container or
-    checksum metadata. Build handles with ``default_compressor``, which
-    fills in and checks the settings.
+    checksum metadata. A handle checks its settings when built, so a
+    setting the backend would reject raises ConfigError before any data is
+    compressed; ``default_compressor`` fills in the unset ones.
     """
 
     name: str
@@ -63,6 +61,19 @@ class CompressorHandle:
     # lzma only. None sizes the dictionary to the buffer at presets 6-9 (see
     # _lzma_size) and keeps the preset's dictionary at presets 0-5.
     dict_size: int | None = None
+
+    def __post_init__(self):
+        if self.name not in _BACKENDS:
+            raise ConfigError(f"unknown compressor {self.name!r}; "
+                              f"available: {sorted(_BACKENDS)}")
+        if not 0 <= self.level <= 9:
+            raise ConfigError(f"{self.name} level {self.level} outside 0-9")
+        if self.dict_size is not None:
+            if self.name != "lzma":
+                raise ConfigError(f"a dictionary size applies to lzma only, not {self.name}")
+            if not 4096 <= self.dict_size <= 1536 << 20:  # liblzma's LZMA2 encoder bounds
+                raise ConfigError(
+                    f"lzma dictionary size {self.dict_size} outside 4 KiB-1.5 GiB")
 
     def describe(self) -> dict:
         return {"name": self.name, "level": self.level, "dict_size": self.dict_size}
@@ -102,29 +113,13 @@ DEFAULT_LEVELS = {"lzma": 6, "deflate": 9}
 
 def default_compressor(name: str | None = None, level: int | None = None,
                        dict_size: int | None = None) -> CompressorHandle:
-    """Resolve and check compressor settings.
-
-    The backend is ``name``, else $TRACE_COMPLEXITY_COMPRESSOR, else lzma;
-    the level defaults to the backend's entry in DEFAULT_LEVELS. Settings
-    the backend would reject raise ConfigError here, before any data is
-    compressed.
-    """
-    source = ""
+    """A handle with the unset settings filled in: the backend defaults to
+    lzma and the level to the backend's entry in DEFAULT_LEVELS. The handle
+    checks the settings."""
     if name is None:
-        name = os.environ.get(ENV_COMPRESSOR, "").strip() or "lzma"
-        source = f" in ${ENV_COMPRESSOR}"
-    if name not in _BACKENDS:
-        raise ConfigError(f"unknown compressor {name!r}{source}; "
-                          f"available: {sorted(_BACKENDS)}")
+        name = "lzma"
     if level is None:
-        level = DEFAULT_LEVELS[name]
-    elif not 0 <= level <= 9:
-        raise ConfigError(f"{name} level {level} outside 0-9")
-    if dict_size is not None:
-        if name != "lzma":
-            raise ConfigError(f"a dictionary size applies to lzma only, not {name}")
-        if not 4096 <= dict_size <= 1536 << 20:  # liblzma's LZMA2 encoder bounds
-            raise ConfigError(f"lzma dictionary size {dict_size} outside 4 KiB-1.5 GiB")
+        level = DEFAULT_LEVELS.get(name)  # an unknown name fails in the handle
     return CompressorHandle(name=name, level=level, dict_size=dict_size)
 
 
@@ -141,23 +136,16 @@ def clear_size_cache() -> None:
         _size_cache.clear()
 
 
-def compressed_size(data: bytes, compressor: CompressorHandle | None = None) -> int:
+def compressed_size(data: bytes, compressor: CompressorHandle) -> int:
     """Size in bytes of the compressed stream (no container metadata)."""
     if not data:
         raise ValueError("refusing to compress empty input")
-    if compressor is None:
-        compressor = default_compressor()
-    try:
-        size_of = _BACKENDS[compressor.name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown compressor {compressor.name!r}; available: {sorted(_BACKENDS)}")
     key = (hashlib.sha256(data).digest(), compressor)
     with _cache_lock:
         if key in _size_cache:
             _size_cache.move_to_end(key)
             return _size_cache[key]
-    size = size_of(data, compressor)
+    size = _BACKENDS[compressor.name](data, compressor)
     with _cache_lock:
         _size_cache[key] = size
         while len(_size_cache) > _SIZE_CACHE_MAX:
@@ -250,7 +238,7 @@ def _run_jobs(jobs: list[Callable[[], int]]) -> list[int]:
         return list(pool.map(run, jobs))
 
 
-def _compressed_sizes(trace: Trace, compressor: CompressorHandle | None, trials: int,
+def _compressed_sizes(trace: Trace, compressor: CompressorHandle, trials: int,
                       seed: RngSeed, uniform_mode: str | None = None
                       ) -> tuple[int, list[int], list[int]]:
     """(original, shuffled per trial, uniform per trial) compressed sizes.
@@ -274,7 +262,7 @@ def _compressed_sizes(trace: Trace, compressor: CompressorHandle | None, trials:
     return c_original, sizes[:trials], sizes[trials:]
 
 
-def _measure_temporal(trace: Trace, compressor: CompressorHandle | None = None,
+def _measure_temporal(trace: Trace, compressor: CompressorHandle,
                       trials: int = 3, seed: RngSeed = RngSeed(0)) -> float:
     """The temporal ratio ``trace_complexity`` measures, from its original
     and shuffled compressions alone: the uniform ones serve only the
@@ -284,7 +272,7 @@ def _measure_temporal(trace: Trace, compressor: CompressorHandle | None = None,
 
 
 def trace_complexity(trace: Trace,
-                     compressor: CompressorHandle | None = None,
+                     compressor: CompressorHandle,
                      trials: int = 3,
                      seed: RngSeed = RngSeed(0),
                      uniform_mode: str | None = None) -> ComplexityPoint:
@@ -328,7 +316,7 @@ def trace_complexity(trace: Trace,
 
 
 def complexity_of_slices(trace: Trace,
-                         compressor: CompressorHandle | None = None,
+                         compressor: CompressorHandle,
                          trials: int = 3,
                          seed: RngSeed = RngSeed(0)) -> tuple[ComplexityPoint, ComplexityPoint]:
     """Per-column complexity: (source point, destination point).

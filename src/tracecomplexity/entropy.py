@@ -20,13 +20,13 @@ from .trace import Trace
 PROB_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrafficMatrix:
     """Joint probability over (source, destination) pairs.
 
-    Stored sparsely as parallel arrays over the support. ``n`` is the size of
-    the union ID set the matrix lives on, which fixes the 2*log2(n) ceiling
-    used to normalize its entropy.
+    Stored sparsely as parallel arrays over the support. The matrix lives on
+    the IDs 0..n-1; ``n`` fixes the 2*log2(n) ceiling used to normalize its
+    entropy. Two matrices are equal when ``n`` and the three arrays are.
     """
 
     sources: np.ndarray  # (k,) int64
@@ -44,6 +44,12 @@ class TrafficMatrix:
         if self.n < 1:
             raise ValueError("n must be at least 1")
 
+    def __eq__(self, other):
+        if not isinstance(other, TrafficMatrix):
+            return NotImplemented
+        return self.n == other.n and all(np.array_equal(getattr(self, f), getattr(other, f))
+                                         for f in ("sources", "dests", "probs"))
+
     @property
     def support_size(self) -> int:
         return int(self.probs.size)
@@ -55,16 +61,12 @@ class TrafficMatrix:
         dst = np.array([p[1] for p in pairs], dtype=np.int64)
         probs = np.array([cells[p] for p in pairs], dtype=np.float64)
         if n is None:
-            n = int(np.unique(np.concatenate((src, dst))).size)
+            n = int(max(src.max(initial=0), dst.max(initial=0))) + 1
         return cls(src, dst, probs, n)
 
     @classmethod
     def uniform(cls, n_ids: int) -> "TrafficMatrix":
-        grid = np.arange(n_ids, dtype=np.int64)
-        src = np.repeat(grid, n_ids)
-        dst = np.tile(grid, n_ids)
-        probs = np.full(n_ids * n_ids, 1.0 / (n_ids * n_ids))
-        return cls(src, dst, probs, n_ids)
+        return zipf_matrix(n_ids, 0.0)
 
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n, self.n))
@@ -121,9 +123,11 @@ def zipf_matrix(n_ids: int, exponent: float) -> TrafficMatrix:
 
 
 ZIPF_EXPONENT_MAX = 64.0
+#: ``solve_zipf_exponent`` stops once the normalized entropy is this close.
+ZIPF_ENTROPY_TOL = 1e-6
 
 
-def solve_zipf_exponent(n_ids: int, y_target: float, tol: float = 1e-6) -> float:
+def solve_zipf_exponent(n_ids: int, y_target: float) -> float:
     """Exponent whose Zipf matrix has normalized entropy y_target.
 
     The result is the pmf exponent s that ``zipf_matrix`` takes; the tail
@@ -157,7 +161,7 @@ def solve_zipf_exponent(n_ids: int, y_target: float, tol: float = 1e-6) -> float
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         y = forward(mid)
-        if abs(y - y_target) < tol:
+        if abs(y - y_target) < ZIPF_ENTROPY_TOL:
             return mid
         if y > y_target:
             lo = mid

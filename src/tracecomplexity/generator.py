@@ -135,8 +135,8 @@ def spec_from_target(target: MapTarget,
 
 
 def spec_from_trace(trace: Trace,
+                    compressor: CompressorHandle,
                     trials: int = 3,
-                    compressor: CompressorHandle | None = None,
                     seed: RngSeed = RngSeed(0)) -> GeneratorSpec:
     """Fit a spec to a measured trace.
 
@@ -299,5 +299,5 @@ def spec_from_json(text: str) -> GeneratorSpec:
         return GeneratorSpec(matrix=matrix, repeat_p=float(doc["repeat_p"]),
                              length=int(doc["length"]), seed=seed,
                              name=doc.get("name", "generated"))
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as e:
+    except (AttributeError, ConfigError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"malformed generator spec: {e!r}") from e

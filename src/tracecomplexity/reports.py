@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .complexity import ComplexityPoint, CompressorHandle
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .trace import Trace
 from .transforms import RngSeed
 
@@ -111,7 +111,7 @@ class AnalysisReport:
                 trace_path=doc["trace"].get("path"),
                 created_at=doc.get("created_at"),
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as e:
+        except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as e:
             raise DataError(f"malformed report: {e!r}") from e
 
 

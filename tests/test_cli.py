@@ -191,10 +191,6 @@ class TestAnalyze:
         assert main(["analyze", str(f), "--delimiter", ";", "--skip-rows", "1"]
                     + FAST) == 0
 
-    def test_bad_env_compressor_exit_three(self, trace_file, monkeypatch, capsys):
-        monkeypatch.setenv("TRACE_COMPLEXITY_COMPRESSOR", "paq")
-        assert main(["analyze", str(trace_file), "--trials", "1"]) == 3
-
 
 # Bad inputs, each of which ends in an exit code and one stderr line. The
 # paths name files that the bad_inputs fixture writes.
@@ -208,6 +204,9 @@ BAD_INPUTS = [
     (["analyze", "{tiny}", "--uniform-mode", "single"], 1),
     (["analyze", "{tiny}", "--seed", "-1"], 1),
     (["generate", "--target", "0.5", "0.5", "--seed", "-1", "--output", "{out}"], 1),
+    (["generate", "--target", "0.4", "0.4", "--length", "0", "--output", "{out}"], 1),
+    (["generate", "--target", "0.4", "0.4", "--length", "-5", "--output", "{out}"], 1),
+    (["generate", "--target", "0.4", "0.4", "--n", "1", "--output", "{out}"], 1),
     (["analyze", "{latin1}"], 2),
     (["generate", "--spec", "{latin1}", "--output", "{out}"], 2),
     (["analyze", "{huge_id}"], 2),
@@ -222,6 +221,9 @@ BAD_INPUTS = [
     (["generate", "--spec", "{spec_id_past_n}", "--output", "{out}"], 2),
     (["generate", "--spec", "{spec_negative_seed}", "--output", "{out}"], 2),
     (["generate", "--spec", "{spec_negative_stream}", "--output", "{out}"], 2),
+    (["generate", "--spec", "{spec_repeat_p_2}", "--output", "{out}"], 2),
+    (["generate", "--spec", "{spec_length_0}", "--output", "{out}"], 2),
+    (["map", "{zstd_report}", "--output", "{out}"], 2),
     (["analyze", "{tiny}", "--level", "99"], 3),
     (["analyze", "{tiny}", "--compressor", "deflate", "--level", "99"], 3),
     (["analyze", "{tiny}", "--dict-size", "1"], 3),
@@ -230,11 +232,12 @@ BAD_INPUTS = [
 
 
 @pytest.fixture
-def bad_inputs(tmp_path):
+def bad_inputs(tmp_path, report_file):
     files = {name: tmp_path / name for name in
              ("tiny", "header", "latin1", "huge_id", "partial_report", "list_slices_report",
               "list_report", "spec_by_path", "spec_nan", "spec_negative_id",
-              "spec_id_past_n", "spec_negative_seed", "spec_negative_stream", "out")}
+              "spec_id_past_n", "spec_negative_seed", "spec_negative_stream",
+              "spec_repeat_p_2", "spec_length_0", "zstd_report", "out")}
     files["tiny"].write_text("a,b\nb,a\nc,d\n")
     files["header"].write_text("src,dst\na,b\nb,a\n")
     files["huge_id"].write_text("a,b\n" + "c" * 200_000 + ",d\n")
@@ -258,6 +261,12 @@ def bad_inputs(tmp_path):
         files[name].write_text(json.dumps(
             {"schema": "trace-generator-spec/1", "repeat_p": 0.5, "length": 10, "seed": seed,
              "matrix": {"cells": [[0, 0, 1.0]], "n": 1}}))
+    for name, repeat_p, length in (("spec_repeat_p_2", 2, 10), ("spec_length_0", 0.5, 0)):
+        files[name].write_text(json.dumps(
+            {"schema": "trace-generator-spec/1", "repeat_p": repeat_p, "length": length,
+             "matrix": {"cells": [[0, 0, 1.0]], "n": 1}}))
+    files["zstd_report"].write_text(json.dumps(
+        {**json.loads(report_file.read_text()), "compressor": {"name": "zstd", "level": 99}}))
     return {name: str(path) for name, path in files.items()}
 
 
@@ -277,6 +286,12 @@ def test_non_utf8_trace_names_file(bad_inputs, capsys):
 def test_non_utf8_spec_names_file(bad_inputs, capsys):
     assert main(["generate", "--spec", bad_inputs["latin1"], "--output", bad_inputs["out"]]) == 2
     assert bad_inputs["latin1"] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["spec_repeat_p_2", "spec_length_0"])
+def test_bad_spec_setting_names_file(bad_inputs, capsys, name):
+    assert main(["generate", "--spec", bad_inputs[name], "--output", bad_inputs["out"]]) == 2
+    assert bad_inputs[name] in capsys.readouterr().err
 
 
 def test_oversized_field_names_line(bad_inputs, capsys):
@@ -321,8 +336,10 @@ class TestMapCommand:
         assert main(["map", str(bad), "--output", str(tmp_path / "m.svg")]) == 2
 
     @pytest.mark.parametrize("key, value", [("schema", "trace-complexity-report/1"),
-                                            ("compressor", {})],
-                             ids=["old-schema", "compressor-without-name"])
+                                            ("compressor", {}),
+                                            ("compressor", {"name": "zstd", "level": 99})],
+                             ids=["old-schema", "compressor-without-name",
+                                  "unknown-compressor"])
     def test_bad_report_named(self, report_file, tmp_path, capsys, key, value):
         doc = json.loads(report_file.read_text())
         doc[key] = value
@@ -455,7 +472,7 @@ OPTIONS = {
         ("--uniform-mode", ["auto", "pair", "columnwise"], ["single"]),
         ("--slices", *SWITCH), ("--name", ["n"], []), ("--output", ["{out}", "{dir}"], [])],
     "generate": FORMAT_OPTIONS + COMPRESSOR_OPTIONS + COMMON + [
-        ("--n", ["-1", "1", "2", "3", "17"], ["x"]), ("--allow-degenerate", *SWITCH),
+        ("--n", ["2", "3", "17"], ["-1", "1", "x"]), ("--allow-degenerate", *SWITCH),
         ("--spec-output", ["{out}.json", "{dir}"], [])],
     "map": [("--slices", *SWITCH), ("--csv", ["{out}.csv", "{dir}"], [])],
     "matrix": FORMAT_OPTIONS + [("--log-scale", *SWITCH), ("--svg", ["{out}.svg", "{dir}"], [])],
@@ -485,7 +502,7 @@ def cli_calls(draw):
         if "--fit" in source:
             argv += ["--fit", "{in}"]
         # always a length, so a target never makes the default million entries
-        argv += ["--length", value(["1", "30", "200", "0", "-2"], ["x"])]
+        argv += ["--length", value(["1", "30", "200"], ["0", "-2", "x"])]
         argv += ["--output", value(["{out}", "{dir}", "{missing}/o"])]
     elif command == "map":
         argv += draw(st.lists(st.sampled_from(["{in}", "{report}", "{missing}"]),

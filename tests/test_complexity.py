@@ -138,23 +138,13 @@ class TestLzmaDictionary:
 
 
 class TestDefaultCompressor:
-    def test_builtin_default(self, monkeypatch):
-        monkeypatch.delenv("TRACE_COMPLEXITY_COMPRESSOR", raising=False)
+    def test_builtin_default(self):
         handle = default_compressor()
         assert handle.name == "lzma" and handle.level == 6
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("TRACE_COMPLEXITY_COMPRESSOR", "deflate")
-        assert default_compressor().name == "deflate"
-
-    def test_env_unknown_rejected(self, monkeypatch):
-        monkeypatch.setenv("TRACE_COMPLEXITY_COMPRESSOR", "rar")
-        with pytest.raises(ConfigError):
-            default_compressor()
-
     @pytest.mark.parametrize("env, kwargs, expected", [
-        ("deflate", {}, ("deflate", 9, None)),
-        ("deflate", {"level": 1}, ("deflate", 1, None)),
+        ("deflate", {}, ("lzma", 6, None)),
+        ("deflate", {"level": 1}, ("lzma", 1, None)),
         ("deflate", {"name": "lzma"}, ("lzma", 6, None)),
         ("", {"name": "deflate"}, ("deflate", 9, None)),
         ("", {"level": 0}, ("lzma", 0, None)),
@@ -162,8 +152,8 @@ class TestDefaultCompressor:
         ("", {"dict_size": 4096}, ("lzma", 6, 4096)),
     ])
     def test_resolution(self, monkeypatch, env, kwargs, expected):
-        # the argument beats the environment, which beats lzma; the level
-        # defaults per backend
+        # the backend is the argument, else lzma, and the level defaults per
+        # backend; the variable that once chose the backend is not read
         monkeypatch.setenv("TRACE_COMPLEXITY_COMPRESSOR", env)
         handle = default_compressor(**kwargs)
         assert (handle.name, handle.level, handle.dict_size) == expected
@@ -178,10 +168,13 @@ class TestDefaultCompressor:
         {"dict_size": (1536 << 20) + 1},
         {"name": "deflate", "dict_size": 1 << 16},
     ])
-    def test_invalid_settings_rejected(self, monkeypatch, kwargs):
-        monkeypatch.delenv("TRACE_COMPLEXITY_COMPRESSOR", raising=False)
+    def test_invalid_settings_rejected(self, kwargs):
+        # the handle checks its settings, however it is built
         with pytest.raises(ConfigError):
             default_compressor(**kwargs)
+        settings = {"name": "lzma", "level": 6, **kwargs}
+        with pytest.raises(ConfigError):
+            CompressorHandle(**settings)
 
 
 class TestComplexityPoint:

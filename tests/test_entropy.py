@@ -42,12 +42,21 @@ class TestTrafficMatrix:
         with pytest.raises(ValueError):
             TrafficMatrix.from_cells({(0, 0): 1.5, (0, 1): -0.5})
 
-    def test_dense_round_trip(self):
+    def test_dense_round_trip(self, tmp_path):
         m = zipf_matrix(4, 1.0)
         dense = m.to_dense()
         assert dense.shape == (4, 4)
         assert dense.sum() == pytest.approx(1.0, abs=1e-12)
         assert dense[0, 0] == max(m.probs)
+        # without n, the matrix spans IDs 0 to the largest one
+        m = TrafficMatrix.from_cells({(0, 5): 1.0})
+        assert m.n == 6
+        m.write_dense_csv(tmp_path / "m.csv")
+        rows = [row.split(",") for row in (tmp_path / "m.csv").read_text().splitlines()]
+        assert len(rows) == 6 and [len(row) for row in rows] == [6] * 6
+        assert [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row)
+                if float(v) != 0.0] == [(0, 5)]
+        assert float(rows[0][5]) == 1.0
 
 
 class TestNormalized:

@@ -261,6 +261,13 @@ class TestSpecJson:
         assert back.seed == RngSeed(5, (2,))
         assert back.matrix.cell_dict() == spec.matrix.cell_dict()
         assert encode_canonical(generate(back)) == encode_canonical(generate(spec))
+        assert back.matrix.support_size == 64
+        assert back == spec
+        probs = spec.matrix.probs.copy()
+        probs[[0, 1]] = probs[[1, 0]]
+        swapped = dataclasses.replace(
+            spec, matrix=dataclasses.replace(spec.matrix, probs=probs))
+        assert swapped != spec
 
     def test_malformed_document(self):
         with pytest.raises(DataError):
