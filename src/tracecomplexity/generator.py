@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -67,6 +68,29 @@ class MapTarget:
             raise ConfigError("need at least two IDs")
 
 
+def _draw_cells(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, u, side="right")`` clipped to the last cell, as
+    int32, for each u in [0, 1]; ``u`` is overwritten.
+
+    A guide table over K buckets, K the power of two at or above the
+    number of cells, holds the clipped answer at each bucket edge b/K.
+    Scaling by K is exact, so floor(u*K) is u's bucket and the edges
+    compare exactly. A u whose bucket has one answer at both edges takes
+    that answer; only the others are searched.
+    """
+    last = cdf.size - 1
+    k = 1 << max(last, 1).bit_length()
+    guide = np.searchsorted(cdf, np.arange(k + 2) / k, side="right").astype(np.int32)
+    np.minimum(guide, last, out=guide)  # an answer between two equal edges' clips alike
+    u *= k
+    bucket = u.astype(np.int32)
+    cell = guide.take(bucket)
+    search = np.flatnonzero((guide[:-1] != guide[1:]).take(bucket))
+    del bucket
+    cell[search] = np.minimum(np.searchsorted(cdf * k, u[search], side="right"), last)
+    return cell
+
+
 def generate(spec: GeneratorSpec) -> Trace:
     """Run the repeat chain: deterministic for a given spec (seed included).
 
@@ -89,9 +113,8 @@ def generate(spec: GeneratorSpec) -> Trace:
     # drawn cell; each run of repeats then takes the code of the fresh
     # position that starts it. A full-length array is freed once replaced.
     u = u[fresh]
-    cell = np.searchsorted(np.cumsum(m.probs), u, side="right")
+    cell = _draw_cells(np.cumsum(m.probs), u)
     del u
-    np.clip(cell, 0, m.support_size - 1, out=cell)
     drawn = np.flatnonzero(np.bincount(cell, minlength=m.support_size))
     cells = Trace.from_arrays(m.sources[drawn], m.dests[drawn])
     table = np.zeros(m.support_size, dtype=cells.codes.dtype)
@@ -256,7 +279,7 @@ def _check_cells(cells: dict[tuple[int, int], float], n: int) -> None:
             raise DataError(f"generator spec cell [{s}, {d}, {p}]: ID outside 0..{n - 1}")
 
 
-def _cells_matrix(sources: list[int], dests: list[int], probs: list[float],
+def _cells_matrix(sources: Sequence[int], dests: Sequence[int], probs: Sequence[float],
                   n: int) -> TrafficMatrix:
     """``TrafficMatrix.from_cells({(s, d): p, ...}, n)`` for a spec's cells,
     built from arrays: a later cell of the same pair wins, and the cells are
@@ -277,6 +300,49 @@ def _cells_matrix(sources: list[int], dests: list[int], probs: list[float],
     return TrafficMatrix(s[last], d[last], p[last], n)
 
 
+def _fraction_or_bool(value) -> bool:
+    """Whether int() would read ``value`` as another number than it is: a
+    bool, or a float with a fraction."""
+    return isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
+
+
+def _whole(value, what: str) -> int:
+    """``int(value)``, refusing a bool and a float with a fraction."""
+    whole = int(value)
+    if _fraction_or_bool(value):
+        raise DataError(f"generator spec {what} {value!r} is not an integer")
+    return whole
+
+
+def _cell_columns(cells) -> tuple[Sequence[int], Sequence[int], Sequence[float]]:
+    """The source IDs, destination IDs and probabilities of a spec's cells.
+
+    Cells as spec_to_json writes them, [int, int, float] lists, are split
+    into columns whole, which are checked by the types they hold. Other
+    cells are read one at a time with int() and float(), which raise for
+    what they cannot read; a cell with a bool, or with an ID that has a
+    fraction, is refused rather than read as another number.
+    """
+    try:
+        if set(map(len, cells)) == {3}:
+            sources, dests, probs = (list(map(itemgetter(k), cells)) for k in range(3))
+            if set(map(type, sources)) == set(map(type, dests)) == {int} \
+                    and set(map(type, probs)) == {float}:
+                return sources, dests, probs
+    except (KeyError, TypeError):  # not a list of lists; the loop below says why
+        pass
+    sources, dests, probs = [], [], []
+    for s, d, p in cells:
+        sources.append(int(s))
+        dests.append(int(d))
+        probs.append(float(p))
+        if _fraction_or_bool(s) or _fraction_or_bool(d):
+            raise DataError(f"generator spec cell [{s}, {d}, {p}]: ID is not an integer")
+        if isinstance(p, bool):
+            raise DataError(f"generator spec cell [{s}, {d}, {p}]: probability is not a number")
+    return sources, dests, probs
+
+
 def spec_from_json(text: str) -> GeneratorSpec:
     try:
         doc = json.loads(text)
@@ -287,17 +353,16 @@ def spec_from_json(text: str) -> GeneratorSpec:
         raise DataError(f"not a generator spec document (schema {found!r})")
     try:
         mdoc = doc["matrix"]
-        sources, dests, probs = [], [], []
-        for s, d, p in mdoc["cells"]:
-            sources.append(int(s))
-            dests.append(int(d))
-            probs.append(float(p))
-        matrix = _cells_matrix(sources, dests, probs, int(mdoc["n"]))
+        sources, dests, probs = _cell_columns(mdoc["cells"])
+        matrix = _cells_matrix(sources, dests, probs, _whole(mdoc["n"], "n"))
         seed_doc = doc.get("seed", {"seed": 0, "stream": []})
-        seed = RngSeed(int(seed_doc["seed"]),
-                       tuple(int(v) for v in seed_doc.get("stream", ())))
-        return GeneratorSpec(matrix=matrix, repeat_p=float(doc["repeat_p"]),
-                             length=int(doc["length"]), seed=seed,
+        seed = RngSeed(_whole(seed_doc["seed"], "seed"),
+                       tuple(_whole(v, "stream value") for v in seed_doc.get("stream", ())))
+        repeat_p = doc["repeat_p"]
+        if isinstance(repeat_p, bool):
+            raise DataError(f"generator spec repeat_p {repeat_p!r} is not a number")
+        return GeneratorSpec(matrix=matrix, repeat_p=float(repeat_p),
+                             length=_whole(doc["length"], "length"), seed=seed,
                              name=doc.get("name", "generated"))
     except (AttributeError, ConfigError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"malformed generator spec: {e!r}") from e

@@ -1,11 +1,27 @@
-"""Tokenizer behind trace.parse_trace: delimited text to interned ID codes.
+"""Tokenizer behind trace.parse_trace: delimited text to canonical ID labels.
 
-The text is read in pieces of fixed size and each piece is tokenized with
-vectorized scans over its bytes. A piece whose quoting, lone carriage
-returns or non-ASCII text that tokenizer cannot reproduce exactly goes to
-csv.reader instead, which hands the stream back at the first piece end
-where a record ends. Both produce ``Records``, which ``check_rows`` and
-``relabel`` take alike.
+The text is read in pieces of about ``_CHUNK`` characters, each ending at a
+record end. A piece of ASCII text without quotes or lone carriage returns
+is read from its bytes, with vectorized operations:
+
+* Its fields are found. In a fixed-layout piece, whose lines all have the
+  first line's length and its delimiters at the same columns, they are read
+  off the first line: the files ``write_trace`` writes are such pieces, and
+  so are fixed-width logs. Any other piece is scanned for every delimiter
+  and line end.
+* The two kept fields of each record are looked up in the file's
+  ``Vocabulary``, which knows every ID of 1 to 7 bytes met so far by the
+  64-bit word that spells it. If every record is complete and every kept
+  field is known, the piece's labels are one gather.
+* Otherwise (a new ID, an ID of 8 bytes or more, an empty field, a short
+  record) the fields are interned: equal strings get equal codes, numbered
+  for the piece alone, and ``Vocabulary.relabel`` maps those codes to
+  labels, learning the new IDs.
+
+A piece with quoting, lone carriage returns or non-ASCII text, which the
+byte reading cannot reproduce exactly, goes to csv.reader instead. That
+hands the stream back at the first piece end where a record ends, and its
+records are interned and relabelled alike.
 """
 
 from __future__ import annotations
@@ -34,8 +50,17 @@ _NL, _CR = ord("\n"), ord("\r")
 _SPACE = np.array([chr(c).isspace() for c in range(128)])
 #: Those of them that can occur inside a field of the byte tokenizer.
 _INNER_SPACE = [chr(c) for c in range(128) if _SPACE[c] and chr(c) not in "\r\n"]
-#: _LOW[k] keeps the low k bytes of a little-endian word.
-_LOW = np.array([(1 << 8 * k) - 1 for k in range(8)], dtype=np.uint64)
+#: For a string with k bytes left, at most 8: _LOW[k] keeps the bytes of
+#: its next word, at most 7, and _TOP[k] tops them with k.
+_LOW = np.array([(1 << 8 * min(k, 7)) - 1 for k in range(9)], dtype=np.uint64)
+_TOP = np.array([k << 56 for k in range(9)], dtype=np.uint64)
+#: The odd multiplier of the vocabulary's multiply-shift hash.
+_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+#: A word no field has: a word's top byte is a count of at most 8.
+_NO_WORD = np.uint64(2 ** 64 - 1)
+#: IDs a vocabulary learns at most, so its table stays below 1 MB. A file
+#: with more IDs brings new ones in most pieces, which are interned anyway.
+_VOCABULARY_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -44,14 +69,109 @@ class Records:
 
     ``codes`` gives each record's source then destination ID as an index
     into ``ids``, the distinct IDs of the run stripped of whitespace; codes
-    mean nothing for a record with too few fields. ``error`` is why the
-    record after the last one here could not be read.
+    mean nothing for a record with too few fields. If ``ids`` is None, the
+    vocabulary knew every field and the codes are canonical labels.
+    ``words`` holds the word of each of ``ids`` (see ``_words``), or is None
+    if the run was not read from bytes. ``error`` is why the record after
+    the last one here could not be read.
     """
 
     widths: np.ndarray   # fields per record
     codes: np.ndarray
-    ids: list[str]
+    ids: list[str] | None
     error: str | None = None
+    words: np.ndarray | None = None
+
+
+class Vocabulary:
+    """The IDs of one file met so far, each with its canonical label: the
+    IDs numbered in order of first occurrence.
+
+    ``mapping`` holds every ID. Those of 1 to 7 bytes are also found by
+    their word (see ``_words``) in a multiply-shift hash table with linear
+    probing. ``_slots`` holds labels, -1 where empty, and a slot's label is
+    a hit only if ``_word_of`` that label is the word looked up. The table
+    keeps at least three slots in four empty; at 256 IDs it is 8 or 16 KB,
+    and it never holds more than ``_VOCABULARY_LIMIT`` words.
+    """
+
+    def __init__(self) -> None:
+        self.mapping: dict[str, int] = {}
+        self._slots = np.full(16, -1, np.int32)
+        # Each label's word, _NO_WORD if it has none; the last entry is
+        # always unused, so an empty slot (-1) finds _NO_WORD.
+        self._word_of = np.full(16, _NO_WORD)
+        self._stored = 0
+        self._probes = 1  # slots a stored word may be looked for in
+
+    def _home(self, words: np.ndarray) -> np.ndarray:
+        """Each word's first slot: the top bits of its product with the multiplier."""
+        bits = self._slots.size.bit_length() - 1
+        home = words * _MULTIPLIER
+        home >>= np.uint64(64 - bits)
+        return home.view(np.int64)
+
+    def lookup(self, words: np.ndarray) -> np.ndarray | None:
+        """The labels of ``words``, or None if any of them is unknown."""
+        home = self._home(words)
+        labels = self._slots.take(home)
+        missed = np.flatnonzero(self._word_of.take(labels) != words)
+        step = 1
+        # A word not found before an empty slot is not stored.
+        while missed.size and step < self._probes and labels[missed].min() >= 0:
+            found = self._slots.take((home[missed] + step) % self._slots.size)
+            labels[missed] = found
+            missed = missed[self._word_of.take(found) != words[missed]]
+            step += 1
+        return None if missed.size else labels
+
+    def relabel(self, codes: np.ndarray, ids: list[str], words: np.ndarray | None) -> np.ndarray:
+        """Canonical labels of fields whose codes index ``ids``; ``words``
+        holds the word of each of ``ids``, or is None.
+
+        New IDs are numbered in first-occurrence order. Each ID of 1 to 7
+        bytes seen here is learned, if it was not known by its word yet.
+        """
+        first = _first_positions(codes, len(ids))
+        seen = np.argsort(first)[:np.count_nonzero(first < codes.size)]
+        labels = np.empty(len(ids), np.int32)  # half the memory of int64 until the codes are formed
+        labels[seen] = [self.mapping.setdefault(ids[c], len(self.mapping)) for c in seen.tolist()]
+        if words is not None and self._stored < _VOCABULARY_LIMIT:
+            if len(self.mapping) >= self._word_of.size:
+                grown = np.full(2 * len(self.mapping), _NO_WORD)
+                grown[:self._word_of.size] = self._word_of
+                self._word_of = grown
+            words = words[seen]
+            learn = (words >> np.uint64(56)) - np.uint64(1) < 7  # the IDs of 1 to 7 bytes
+            learn &= self._word_of[labels[seen]] != words
+            if learn.any():
+                room = _VOCABULARY_LIMIT - self._stored
+                self._learn(labels[seen[learn]][:room], words[learn][:room])
+        return labels[codes]
+
+    def _learn(self, labels: np.ndarray, words: np.ndarray) -> None:
+        """Store the words of new labels, rebuilding the table larger once
+        a quarter of its slots is taken."""
+        self._word_of[labels] = words
+        self._stored += labels.size
+        if 4 * self._stored > self._slots.size:  # keep three slots in four empty
+            self._slots = np.full(1 << (8 * self._stored).bit_length(), -1, np.int32)
+            self._probes = 1
+            labels = np.flatnonzero(self._word_of != _NO_WORD).astype(np.int32)
+        home = self._home(self._word_of[labels])
+        step = 0
+        while labels.size:
+            # Each free slot takes the first of the labels probing it; the
+            # others move on to the next slot.
+            at = (home + step) % self._slots.size
+            free = np.flatnonzero(self._slots[at] < 0)
+            placed = free[np.unique(at[free], return_index=True)[1]]
+            self._slots[at[placed]] = labels[placed]
+            waiting = np.ones(labels.size, bool)
+            waiting[placed] = False
+            labels, home = labels[waiting], home[waiting]
+            step += 1
+        self._probes = max(self._probes, step)
 
 
 def _pieces(stream: IO) -> Iterator[str]:
@@ -93,26 +213,34 @@ def _dense(values: np.ndarray) -> tuple[np.ndarray, int]:
     return np.searchsorted(distinct, values), distinct.size
 
 
-def _string_codes(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, int]:
+def _words(word: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+           offset: int = 0) -> np.ndarray:
+    """The word of each string data[s:s+n] at ``offset``: its next 7 bytes,
+    topped by a byte saying how many bytes were left (at most 8), so "4"
+    and "4\\x00" differ. ``word`` holds the 8 bytes at each offset of data.
+
+    The word at offset 0 spells a string of at most 7 bytes whole.
+    """
+    left = np.minimum(lengths - offset if offset else lengths, 8)
+    words = word.take(starts + offset if offset else starts)
+    words &= _LOW.take(left)
+    words |= _TOP.take(left)
+    return words
+
+
+def _string_codes(word: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+                  first: np.ndarray) -> tuple[np.ndarray, int]:
     """Codes 0..count-1 for the strings data[s:s+n], equal where the strings are.
 
-    A string is read in words of 7 bytes, each topped by a byte saying how
-    many bytes were left (at most 8), so "4" and "4\\x00" differ. The first
-    words give the codes; each later word splits the codes of the strings
-    that reach it into new ones, so the work grows with the bytes read.
+    ``first`` holds their words at offset 0 (see ``_words``), which give
+    the codes; each later word splits the codes of the strings that reach
+    it into new ones, so the work grows with the bytes read.
     """
-    word = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # 8 bytes at each offset
-
-    def words(at, offset: int) -> np.ndarray:
-        left = np.minimum(lengths[at] - offset, 8)
-        return (word[starts[at] + offset] & _LOW[np.minimum(left, 7)]
-                | left.astype(np.uint64) << np.uint64(56))
-
-    code, count = _dense(words(slice(None), 0))
+    code, count = _dense(first)
     longest = int(lengths.max(initial=0))
     for offset in range(7, longest, 7):
         at = np.flatnonzero(lengths > offset)
-        rank, n = _dense(words(at, offset))
+        rank, n = _dense(_words(word, starts[at], lengths[at], offset))
         split, m = _dense(code[at] * n + rank)
         code[at] = count + split
         count += m
@@ -126,11 +254,43 @@ def _first_positions(codes: np.ndarray, count: int) -> np.ndarray:
     return first
 
 
-def _byte_records(piece: str, delimiter: str, columns: tuple[int, int], limit: int) -> Records:
-    """Tokenize an ASCII piece with vectorized scans over its bytes."""
-    text = piece.encode("ascii")
-    data = text + _PAD
-    buf = np.frombuffer(data, np.uint8)
+def _fixed_fields(text: bytes, buf: np.ndarray, delimiter: str, columns: tuple[int, int],
+                  limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Each record's field count, and where its two kept fields start and
+    stop, for a fixed-layout piece: one whose lines all have the first
+    line's length, delimiters and record end, at the same columns. None for
+    any other piece, and for one the scan should report on: a blank or
+    short first line, or one longer than the field limit.
+    """
+    line = text.find(b"\n") + 1
+    if line < 2 or len(text) % line or line > limit:
+        return None
+    rows = len(text) // line
+    body = buf[:len(text)]
+    grid = body.reshape(rows, line)
+    cols = np.flatnonzero(grid[0] == ord(delimiter))
+    cr = grid[:, -2] == _CR  # every \r precedes a \n, so no \r is elsewhere
+    crlf = int(cr[0])
+    # The counts say that no line holds a delimiter or line end elsewhere.
+    if (cols.size < max(columns) or line - crlf < 2 or cr.any() != cr.all()
+            or np.count_nonzero(body == _NL) != rows
+            or np.count_nonzero(body == ord(delimiter)) != rows * cols.size
+            or not (grid[:, -1] == _NL).all() or not (grid[:, cols] == ord(delimiter)).all()):
+        return None
+    opens, ends = [0, *(cols + 1).tolist()], [*cols.tolist(), line - 1 - crlf]
+    line_starts = np.arange(0, len(text), line)
+    starts, stops = np.empty(2 * rows, np.int64), np.empty(2 * rows, np.int64)
+    for k, column in enumerate(columns):
+        np.add(line_starts, opens[column], out=starts[k::2])
+        np.add(line_starts, ends[column], out=stops[k::2])
+    return np.full(rows, cols.size + 1), starts, stops
+
+
+def _scanned_fields(text: bytes, buf: np.ndarray, delimiter: str, columns: tuple[int, int],
+                    limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, str | None]:
+    """Each record's field count, and where its two kept fields start and
+    stop, from the positions of every delimiter and line end; and why the
+    record after the last one could not be read, if one could not."""
     body = buf[:len(text)]
     seps = np.flatnonzero((body == ord(delimiter)) | (body == _NL))
     if not text.endswith(b"\n"):
@@ -156,17 +316,40 @@ def _byte_records(piece: str, delimiter: str, columns: tuple[int, int], limit: i
     field = np.empty((first.size, 2), np.int64)
     for k, column in enumerate(columns):
         np.minimum(first + column, last[:first.size], out=field[:, k])
-    starts, stops = opens[field.ravel()] + 1, ends[field.ravel()]
+    return widths, opens[field.ravel()] + 1, ends[field.ravel()], error
+
+
+def _byte_records(piece: str, delimiter: str, columns: tuple[int, int], limit: int,
+                  vocab: Vocabulary) -> Records:
+    """Tokenize an ASCII piece with vectorized operations over its bytes."""
+    text = piece.encode("ascii")
+    data = text + _PAD
+    buf = np.frombuffer(data, np.uint8)
+    error = None
+    fixed = _fixed_fields(text, buf, delimiter, columns, limit)
+    if fixed:
+        widths, starts, stops = fixed
+    else:
+        widths, starts, stops, error = _scanned_fields(text, buf, delimiter, columns, limit)
     # Only whitespace other than the delimiter can be in a field to strip.
     if any(c in piece for c in _INNER_SPACE if c != delimiter):
         while (lead := (starts < stops) & _SPACE[buf[starts]]).any():
             starts += lead
         while (trail := (stops > starts) & _SPACE[buf[stops - 1]]).any():
             stops -= trail
-    codes, count = _string_codes(data, starts, stops - starts)
+    word = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # 8 bytes at each offset
+    lengths = stops - starts
+    first = _words(word, starts, lengths)
+    # The vocabulary knows no ID of 8 bytes or more, and a short record's
+    # codes would mean nothing; the interning below reports on it.
+    if lengths.max(initial=0) < 8 and widths.min(initial=len(piece)) > max(columns):
+        labels = vocab.lookup(first)
+        if labels is not None:
+            return Records(widths, labels, None, error)
+    codes, count = _string_codes(word, starts, lengths, first)
     at = _first_positions(codes, count)
     ids = [piece[s:e] for s, e in zip(starts[at].tolist(), stops[at].tolist())]
-    return Records(widths, codes, ids, error)
+    return Records(widths, codes, ids, error, first[at])
 
 
 def _csv_records(rows: Iterator[list[str]], columns: tuple[int, int]) -> Iterator[Records]:
@@ -221,18 +404,19 @@ def _csv_rows(first: str, pieces: Iterator[str], delimiter: str) -> Iterator[lis
             return
 
 
-def records(stream: IO, delimiter: str, columns: tuple[int, int]) -> Iterator[Records]:
+def records(stream: IO, delimiter: str, columns: tuple[int, int],
+            vocab: Vocabulary) -> Iterator[Records]:
     """Tokenize a text stream into runs of records, keeping two columns.
 
-    The byte tokenizer reads each piece it can read exactly; csv.reader
-    reads the others, and with them any piece that a quoted field of
-    theirs runs into.
+    The byte tokenizer reads each piece it can read exactly, labelling it
+    through ``vocab`` when that knows all its fields; csv.reader reads the
+    others, and with them any piece that a quoted field of theirs runs into.
     """
     limit = csv.field_size_limit()
     pieces = _pieces(stream)
     for piece in pieces:
         if _byte_tokenizable(piece, delimiter):
-            yield _byte_records(piece, delimiter, columns, limit)
+            yield _byte_records(piece, delimiter, columns, limit, vocab)
             continue
         for run in _csv_records(_csv_rows(piece, pieces, delimiter), columns):
             yield run
@@ -252,15 +436,3 @@ def check_rows(widths: np.ndarray, codes: np.ndarray, ids: list[str], needed: in
             raise TraceParseError(f"expected at least {needed} columns, got {widths[r]}",
                                   line=line + r)
         raise TraceParseError("empty ID field", line=line + r)
-
-
-def relabel(codes: np.ndarray, ids: list[str], mapping: dict[str, int]) -> np.ndarray:
-    """Canonical IDs of the fields: raw IDs numbered in first-occurrence order.
-
-    ``mapping`` holds the raw IDs of earlier records and gains the new ones.
-    """
-    first = _first_positions(codes, len(ids))
-    seen = np.argsort(first)[:np.count_nonzero(first < codes.size)]
-    labels = np.empty(len(ids), np.int32)  # half the memory of int64 until the codes are formed
-    labels[seen] = [mapping.setdefault(ids[c], len(mapping)) for c in seen.tolist()]
-    return labels[codes]

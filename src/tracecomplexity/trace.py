@@ -134,32 +134,33 @@ def parse_trace(stream: IO, fmt: CsvFormat = CsvFormat(), name: str = "trace") -
     differ), and EmptyTraceError if no data rows remain.
     """
     # Imported on first use, so commands that read no trace do not load it.
-    from .tokenizer import check_rows, records, relabel
+    from .tokenizer import Vocabulary, check_rows, records
 
     if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(stream, "mode", ""):
         stream = io.TextIOWrapper(stream, encoding="utf-8")
     needed = max(fmt.source_column, fmt.dest_column) + 1
     skip = fmt.skip_rows
-    mapping: dict[str, int] = {}
+    vocab = Vocabulary()
     batches = []
     line = 1  # number of the next record
-    for run in records(stream, fmt.delimiter, (fmt.source_column, fmt.dest_column)):
+    for run in records(stream, fmt.delimiter, (fmt.source_column, fmt.dest_column), vocab):
         drop = min(skip, run.widths.size)
         skip -= drop
         widths, codes = run.widths[drop:], run.codes[2 * drop:]
-        check_rows(widths, codes, run.ids, needed, line + drop)
+        if run.ids is not None:  # labelled runs hold only complete records of known IDs
+            check_rows(widths, codes, run.ids, needed, line + drop)
         line += run.widths.size
         if run.error is not None:
             raise TraceParseError(run.error, line=line)
         if widths.size:
-            batches.append(relabel(codes, run.ids, mapping))
+            batches.append(codes if run.ids is None else vocab.relabel(codes, run.ids, run.words))
     if not batches:
         raise EmptyTraceError("no entries parsed from input")
     # Each record's source and destination, interleaved. The relabeled IDs
     # are 0..n-1 and each occurs, so an ID is its own rank.
     ids = np.concatenate(batches)
     del batches
-    n = len(mapping)
+    n = len(vocab.mapping)
     space = IdSpace(np.arange(n, dtype=np.int64),
                     np.bincount(ids[0::2], minlength=n) > 0,
                     np.bincount(ids[1::2], minlength=n) > 0)

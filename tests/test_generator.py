@@ -269,9 +269,37 @@ class TestSpecJson:
             spec, matrix=dataclasses.replace(spec.matrix, probs=probs))
         assert swapped != spec
 
+    @staticmethod
+    def spec_doc(**changes) -> str:
+        doc = {"schema": "trace-generator-spec/1", "repeat_p": 0.5, "length": 10,
+               "matrix": {"cells": [[0, 1, 1.0]], "n": 2}}
+        doc.update(changes)
+        return json.dumps(doc)
+
     def test_malformed_document(self):
         with pytest.raises(DataError):
             spec_from_json("{not json")
+        # int() and float() would read these as other numbers, and the spec
+        # would replay something else than it says.
+        for changes, match in [
+            ({"length": 100.9}, "length 100.9 is not an integer"),
+            ({"length": True}, "length True is not an integer"),
+            ({"matrix": {"cells": [[0, 1, 1.0]], "n": 2.5}}, "n 2.5 is not an integer"),
+            ({"seed": {"seed": True, "stream": []}}, "seed True is not an integer"),
+            ({"seed": {"seed": 1.5, "stream": []}}, "seed 1.5 is not an integer"),
+            ({"seed": {"seed": 1, "stream": [0.5]}}, "stream value 0.5 is not an integer"),
+            ({"seed": {"seed": 1, "stream": [False]}}, "stream value False is not an integer"),
+            ({"repeat_p": True}, "repeat_p True is not a number"),
+        ]:
+            with pytest.raises(DataError, match=match):
+                spec_from_json(self.spec_doc(**changes))
+
+    def test_integral_float_values_read(self):
+        spec = spec_from_json(self.spec_doc(repeat_p=0, length=10.0,
+                                            seed={"seed": 3.0, "stream": [1.0]},
+                                            matrix={"cells": [[0, 1.0, 1]], "n": 2.0}))
+        assert (spec.length, spec.seed, spec.matrix.n) == (10, RngSeed(3, (1,)), 2)
+        assert spec.matrix.cell_dict() == {(0, 1): 1.0}
 
     def test_wrong_schema(self):
         with pytest.raises(DataError, match="schema"):
@@ -287,7 +315,12 @@ class TestSpecJson:
         ([-1, 0, 1.0], r"cell \[-1, 0, 1.0\]: ID outside 0..1"),
         ([0, 7, 1.0], r"cell \[0, 7, 1.0\]: ID outside 0..1"),
         ([2 ** 70, 0, 1.0], r"cell \[1180591620717411303424, 0, 1.0\]: ID outside 0..1"),
-    ], ids=["nan", "inf", "negative-id", "id-past-n", "id-past-int64"])
+        ([0.7, 0, 1.0], r"cell \[0.7, 0, 1.0\]: ID is not an integer"),
+        ([0, 1.5, 1.0], r"cell \[0, 1.5, 1.0\]: ID is not an integer"),
+        ([True, 0, 1.0], r"cell \[True, 0, 1.0\]: ID is not an integer"),
+        ([0, 1, True], r"cell \[0, 1, True\]: probability is not a number"),
+    ], ids=["nan", "inf", "negative-id", "id-past-n", "id-past-int64", "id-fraction",
+            "dest-fraction", "id-bool", "probability-bool"])
     def test_bad_cell_named(self, cell, match):
         doc = {"schema": "trace-generator-spec/1", "repeat_p": 0.5, "length": 10,
                "matrix": {"cells": [cell], "n": 2}}
@@ -431,7 +464,6 @@ class TestAgainstFirstImplementations:
         never = GeneratorSpec(matrix, 0.0, 3, ScriptedSeed([0.1, 0.6, 0.9]))
         assert generate(once).sources.tolist() == [1]
         assert generate(never).dests.tolist() == [0, 0, 1]
-
     @settings(max_examples=200)
     @given(matrices(), st.floats(0.0, 1.0), st.integers(1, 10 ** 12), SEEDS, st.text())
     def test_spec_to_json_same_bytes(self, matrix, p, length, seed, name):
@@ -454,13 +486,78 @@ class TestAgainstFirstImplementations:
         assert spec_to_json(spec) == oracle_spec_to_json(spec)
 
 
+def edge_draws(matrix: TrafficMatrix) -> np.ndarray:
+    """Every bucket edge b/K of the guide table generate draws through (K
+    the power of two at or above the number of cells), every cumulative
+    probability, and the floats next to each of them, within [0, 1]."""
+    k = 1 << max(matrix.support_size - 1, 1).bit_length()
+    points = np.concatenate((np.arange(k + 1) / k, np.cumsum(matrix.probs)))
+    draws = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)))
+    return draws[(draws >= 0.0) & (draws <= 1.0)]
+
+
+def one_cell_each(probs) -> TrafficMatrix:
+    """A matrix whose cells are told apart by their source alone."""
+    cells = np.arange(len(probs), dtype=np.int64)
+    return TrafficMatrix(cells, cells, np.array(probs, dtype=np.float64), n=len(probs))
+
+
+class TestGuideTableEdges:
+    """generate draws a fresh cell through a guide table, and every draw
+    must land where searchsorted(side="right") over the cumulative
+    probabilities puts it, clipped to the last cell."""
+
+    @staticmethod
+    def assert_same_as_oracle(matrix: TrafficMatrix, u: np.ndarray) -> None:
+        spec = GeneratorSpec(matrix, 0.0, u.size, ScriptedSeed(u))
+        assert columns(generate(spec)) == columns(oracle_generate(spec))
+
+    @pytest.mark.parametrize("probs", [
+        [0.2] * 5,                           # cumulative 0.6000000000000001 and friends
+        [0.25] * 4,                          # every cumulative probability on a bucket edge
+        [0.25, 0.5, 0.25],
+        [0.125, 0.0, 0.0, 0.375, 0.0, 0.5],  # runs of zero-probability cells
+        [0.5, 0.0, 0.0, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0],
+        [1.0],
+        [0.1] * 10,                          # sums to just below 1
+        [1 / 3] * 3,
+    ])
+    def test_edges_and_neighbours(self, probs):
+        matrix = one_cell_each(probs)
+        self.assert_same_as_oracle(matrix, edge_draws(matrix))
+
+    def test_one_lands_on_the_last_cell(self):
+        for probs in ([0.25] * 4, [0.1] * 10, [0.5, 0.5, 0.0]):
+            spec = GeneratorSpec(one_cell_each(probs), 0.0, 2, ScriptedSeed([1.0, 1.0]))
+            assert generate(spec).sources.tolist() == [len(probs) - 1] * 2
+            assert columns(generate(spec)) == columns(oracle_generate(spec))
+
+    def test_zipf_65536_cells(self):
+        matrix = zipf_matrix(256, 1.1)
+        assert matrix.support_size == 65_536
+        u = np.concatenate((edge_draws(matrix), np.random.default_rng(3).random(100_000)))
+        self.assert_same_as_oracle(matrix, u)
+
+
+
+
 def oracle_spec_from_json_matrix(text: str):
     """How spec_from_json read a spec's matrix before it built arrays: a
     dict of (s, d) keys, checked, then TrafficMatrix.from_cells. Returns the
-    matrix's arrays and n, or the exception's type and message."""
+    matrix's arrays and n, or the exception's type and message. Like
+    spec_from_json, it refuses a bool, and an ID with a fraction, at the
+    first cell that holds one."""
     try:
         mdoc = json.loads(text)["matrix"]
-        cells = {(int(s), int(d)): float(p) for s, d, p in mdoc["cells"]}
+        cells = {}
+        for s, d, p in mdoc["cells"]:
+            pair = int(s), int(d)
+            cells[pair] = float(p)
+            if any(isinstance(v, bool) or isinstance(v, float) and v != int(v) for v in (s, d)):
+                raise DataError(f"generator spec cell [{s}, {d}, {p}]: ID is not an integer")
+            if isinstance(p, bool):
+                raise DataError(f"generator spec cell [{s}, {d}, {p}]: probability is not a number")
         n = int(mdoc["n"])
         for (s, d), p in cells.items():
             if not math.isfinite(p):
@@ -488,9 +585,9 @@ def spec_text(cells, n) -> str:
                        "matrix": {"cells": cells, "n": n}})
 
 
-CELL_ID = st.one_of(st.integers(-1, 4), st.sampled_from([2 ** 40, "3", 2.5, None]))
+CELL_ID = st.one_of(st.integers(-1, 4), st.sampled_from([2 ** 40, "3", 2.5, 3.0, None, True]))
 CELL_P = st.one_of(st.sampled_from([0.5, 0.25, 1.0, 0.0, -0.5, float("nan"), float("inf"),
-                                    "0.5", None]), st.floats(0.0, 1.0))
+                                    "0.5", None, 1, False]), st.floats(0.0, 1.0))
 CELL = st.one_of(st.tuples(CELL_ID, CELL_ID, CELL_P).map(list),
                  st.sampled_from([[0, 1], [0, 1, 0.5, 9], "ab", 7]))
 DUPLICATES = st.lists(st.sampled_from([[0, 0, 0.5], [0, 0, 0.25], [1, 0, 0.5], [1, 0, 0.75],

@@ -200,21 +200,43 @@ def delimited_inputs(draw):
     return data, fmt
 
 
+#: IDs of one width each, for runs of rows with one layout: 7 bytes is the
+#: longest ID the vocabulary holds, and the 8-byte ones share their first 7.
+SAME_WIDTH = {1: ["4", "5", "a"], 2: ["b7", "c8", "4\x00", "\x004"],
+              7: ["abcdefg", "abcdefh", "1234567"], 8: ["abcdefgh", "abcdefgi", "12345678"]}
+
+
 @st.composite
 def plain_inputs(draw):
-    """Rows the byte tokenizer reads itself: ASCII, no quotes, no lone \\r."""
+    """Rows the byte tokenizer reads itself: ASCII, no quotes, no lone \\r.
+
+    Runs of rows share one layout, as in a fixed-layout piece; rows between
+    them may be longer or shorter, miss a field or leave one empty. The
+    first row may hold an ID that no other row holds.
+    """
     ascii_space = st.sampled_from(["", "", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
                                    "\x1f"])
-    ids = st.tuples(ascii_space, st.sampled_from(["4", "4\x00", "\x004", "b7"]),
+    ids = st.tuples(ascii_space, st.sampled_from(["4", "4\x00", "\x004", "b7", "abcdefg",
+                                                  "abcdefgh", "abcdefgi"]),
                     ascii_space).map("".join)
     if draw(st.booleans()):
         ids = st.one_of(ids, st.just(""))
-    rows = draw(st.lists(st.lists(ids, min_size=1, max_size=4), max_size=30))
     ends = st.sampled_from(["\n", "\r\n"])
-    text = "".join(",".join(r) + draw(ends) for r in rows)
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["only,once\n", "zz,yy,xx\r\n", "q\n"])))
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            same = st.sampled_from(SAME_WIDTH[draw(st.sampled_from(sorted(SAME_WIDTH)))])
+            fields, end = draw(st.integers(1, 4)), draw(ends)
+            lines += [",".join(draw(same) for _ in range(fields)) + end
+                      for _ in range(draw(st.integers(1, 12)))]
+        else:
+            lines += [",".join(r) + draw(ends)
+                      for r in draw(st.lists(st.lists(ids, min_size=1, max_size=4), max_size=6))]
     fmt = CsvFormat(source_column=draw(st.integers(0, 2)), dest_column=draw(st.integers(0, 2)),
                     skip_rows=draw(st.integers(0, 2)))
-    return text, fmt
+    return "".join(lines), fmt
 
 
 class TestAgainstCsvLoop:
@@ -228,8 +250,8 @@ class TestAgainstCsvLoop:
                 mock.patch.object(tokenizer, "_CSV_BATCH", batch):
             assert outcome(parse_trace, data, fmt) == outcome(oracle_parse, data, fmt)
 
-    @settings(max_examples=200)
-    @given(plain_inputs(), st.integers(1, 40))
+    @settings(max_examples=300)
+    @given(plain_inputs(), st.one_of(st.integers(1, 40), st.sampled_from([64, 256])))
     def test_byte_tokenizer_same_result_or_error(self, case, chunk):
         text, fmt = case
         with mock.patch.object(tokenizer, "_CHUNK", chunk):
@@ -306,6 +328,98 @@ class TestAgainstCsvLoop:
         assert got == outcome(oracle_parse, text, CsvFormat())
         assert got[0] == [0, 2, 4, 6]  # a, "x\ny", c, e
         assert byte_read == ["a,b\n", "c,d\ne,f\n"]
+
+
+class TestReadingPaths:
+    """A piece whose fields the file's vocabulary all knows is labelled
+    without interning; only the pieces that bring IDs it cannot know yet
+    are interned, and only pieces of uneven layout are scanned for
+    separators."""
+
+    @staticmethod
+    def parse_counting(path, fmt: CsvFormat = CsvFormat()):
+        """The outcome of loading ``path``, and how many pieces were
+        interned and how many scanned."""
+        with mock.patch.object(tokenizer, "_string_codes",
+                               wraps=tokenizer._string_codes) as interned, \
+                mock.patch.object(tokenizer, "_scanned_fields",
+                                  wraps=tokenizer._scanned_fields) as scanned:
+            got = outcome(parse_trace, path.read_text(), fmt)
+        return got, interned.call_count, scanned.call_count
+
+    @staticmethod
+    def pieces_with_new_ids(path) -> tuple[int, int]:
+        """How many pieces the file is read in, and how many of them hold a
+        first-column or second-column ID that no earlier piece held."""
+        seen: set[str] = set()
+        pieces = new = 0
+        with open(path, newline="") as fh:
+            for piece in tokenizer._pieces(fh):
+                ids = {field for line in piece.splitlines() for field in line.split(",")[:2]}
+                pieces += 1
+                new += not ids <= seen
+                seen |= ids
+        return pieces, new
+
+    def test_write_trace_file_interned_only_for_new_ids(self, tmp_path):
+        rng = np.random.default_rng(5)
+        src, dst = rng.integers(0, 40, 200_000), rng.integers(0, 40, 200_000)
+        src[120_000], dst[170_000] = 41, 42  # IDs first met in later pieces
+        path = tmp_path / "t.csv"
+        write_trace(Trace.from_arrays(src, dst), path)
+        got, interned, scanned = self.parse_counting(path)
+        pieces, new = self.pieces_with_new_ids(path)
+        assert (interned, scanned) == (new, 0)
+        assert new == 3 and pieces > 10
+        assert got == outcome(oracle_parse, path.read_text(), CsvFormat())
+
+    def test_ten_byte_ids_interned_in_every_piece(self, tmp_path):
+        """The vocabulary holds IDs of at most 7 bytes, one 64-bit word."""
+        rng = np.random.default_rng(6)
+        names = [f"host{i:06d}" for i in range(30)]
+        path = tmp_path / "t.csv"
+        path.write_text("".join(f"{names[s]},{names[d]}\n"
+                                for s, d in rng.integers(0, 30, (20_000, 2))))
+        got, interned, scanned = self.parse_counting(path)
+        pieces, _ = self.pieces_with_new_ids(path)
+        assert (interned, scanned) == (pieces, 0) and pieces > 3
+        assert got == outcome(oracle_parse, path.read_text(), CsvFormat())
+
+    @pytest.mark.parametrize("limit", [0, 3, 5])
+    def test_vocabulary_full(self, tmp_path, limit):
+        """Past its limit the vocabulary learns no more IDs, and a piece
+        holding one of those is interned each time."""
+        rng = np.random.default_rng(limit)
+        path = tmp_path / "t.csv"
+        path.write_text("".join(f"{s},{d}\n" for s, d in rng.integers(10, 20, (300, 2))))
+        with mock.patch.object(tokenizer, "_CHUNK", 60), \
+                mock.patch.object(tokenizer, "_VOCABULARY_LIMIT", limit):
+            got, interned, _ = self.parse_counting(path)
+            pieces, _ = self.pieces_with_new_ids(path)
+        assert got == outcome(oracle_parse, path.read_text(), CsvFormat())
+        assert interned == pieces > 20
+
+    @pytest.mark.parametrize("text", [
+        "ab,c\r\nab,cd\n",    # one length, but another record end
+        "ab,cd\nab,c,\nab, c\n",  # the first line's delimiters, and one more
+        "ab,cd\n\nb,cd\n",    # a line end inside a line's length
+        "ab,cd\nab;cd\n",     # a delimiter missing
+    ], ids=["crlf-and-lf", "extra-delimiter", "inner-line-end", "missing-delimiter"])
+    def test_lines_of_one_length_but_another_layout(self, text):
+        assert outcome(parse_trace, text, CsvFormat()) == \
+            outcome(oracle_parse, text, CsvFormat())
+
+    @pytest.mark.parametrize("chunk", [6, 12, 64])
+    @pytest.mark.parametrize("last", ["03,01", "yy,01"], ids=["header-only", "header-later"])
+    def test_skipped_row_ids_get_no_label(self, chunk, last):
+        """A skipped header's IDs are labelled only where a kept record
+        holds them, whichever piece reads them."""
+        text = "hh,yy\n" + "01,02\n02,01\n" * 20 + last + "\n"
+        fmt = CsvFormat(skip_rows=1)
+        with mock.patch.object(tokenizer, "_CHUNK", chunk):
+            got = outcome(parse_trace, text, fmt)
+        assert got == outcome(oracle_parse, text, fmt)
+        assert got[0][-1] == 2  # the last record brings the third ID
 
 
 class TestCanonicalIds:
