@@ -68,18 +68,25 @@ class MapTarget:
             raise ConfigError("need at least two IDs")
 
 
+#: Buckets of ``_draw_cells``'s guide table at least: 256 KB of int32.
+_GUIDE_BUCKETS = 1 << 16
+#: Positions ``generate`` indexes at a time: 512 KB of indices.
+_BLOCK = 1 << 16
+
+
 def _draw_cells(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``searchsorted(cdf, u, side="right")`` clipped to the last cell, as
     int32, for each u in [0, 1]; ``u`` is overwritten.
 
-    A guide table over K buckets, K the power of two at or above the
-    number of cells, holds the clipped answer at each bucket edge b/K.
-    Scaling by K is exact, so floor(u*K) is u's bucket and the edges
-    compare exactly. A u whose bucket has one answer at both edges takes
-    that answer; only the others are searched.
+    A guide table over K buckets holds the clipped answer at each bucket
+    edge b/K. K is the power of two at or above the number of cells, and
+    at least ``_GUIDE_BUCKETS``, so that few buckets hold a cell edge even
+    when the cells are few. Scaling by K is exact, so floor(u*K) is u's
+    bucket and the edges compare exactly. A u whose bucket has one answer
+    at both edges takes that answer; only the others are searched.
     """
     last = cdf.size - 1
-    k = 1 << max(last, 1).bit_length()
+    k = max(1 << max(last, 1).bit_length(), _GUIDE_BUCKETS)
     guide = np.searchsorted(cdf, np.arange(k + 2) / k, side="right").astype(np.int32)
     np.minimum(guide, last, out=guide)  # an answer between two equal edges' clips alike
     u *= k
@@ -111,20 +118,34 @@ def generate(spec: GeneratorSpec) -> Trace:
         fresh[1:] = rng.random(t - 1) >= spec.repeat_p
     # Only fresh positions look up a cell, whose code is worked out once per
     # drawn cell; each run of repeats then takes the code of the fresh
-    # position that starts it. A full-length array is freed once replaced.
-    u = u[fresh]
-    cell = _draw_cells(np.cumsum(m.probs), u)
+    # position that starts it. Index arrays are made a block of positions at
+    # a time, in the type np.take uses without a copy, and "clip" lets it
+    # write into its output directly; every index is in range.
+    draws = np.empty(np.count_nonzero(fresh))
+    done = 0
+    for start in range(0, t, _BLOCK):
+        picked = np.flatnonzero(fresh[start:start + _BLOCK])
+        u[start:start + _BLOCK].take(picked, out=draws[done:done + picked.size], mode="clip")
+        done += picked.size
     del u
+    cell = _draw_cells(np.cumsum(m.probs), draws)
+    del draws
     drawn = np.flatnonzero(np.bincount(cell, minlength=m.support_size))
     cells = Trace.from_arrays(m.sources[drawn], m.dests[drawn])
     table = np.zeros(m.support_size, dtype=cells.codes.dtype)
     table[drawn] = cells.codes
-    codes = table[cell]
+    codes = table.take(cell)
     del cell
-    run = np.cumsum(fresh, dtype=np.int32 if t < 2 ** 31 else np.int64)
-    del fresh
-    run -= 1
-    return Trace(codes[run], cells.id_space, spec.name)
+    out = np.empty(t, dtype=codes.dtype)
+    run = np.empty(min(t, _BLOCK), dtype=np.intp)  # each position's run: fresh ones so far, less 1
+    last = -1
+    for start in range(0, t, _BLOCK):
+        block = run[:min(_BLOCK, t - start)]
+        np.cumsum(fresh[start:start + _BLOCK], dtype=np.intp, out=block)
+        block += last
+        last = block[-1]
+        codes.take(block, out=out[start:start + _BLOCK], mode="clip")
+    return Trace(out, cells.id_space, spec.name)
 
 
 def spec_from_target(target: MapTarget,
@@ -300,16 +321,17 @@ def _cells_matrix(sources: Sequence[int], dests: Sequence[int], probs: Sequence[
     return TrafficMatrix(s[last], d[last], p[last], n)
 
 
-def _fraction_or_bool(value) -> bool:
-    """Whether int() would read ``value`` as another number than it is: a
-    bool, or a float with a fraction."""
-    return isinstance(value, bool) or isinstance(value, float) and not value.is_integer()
+def _not_read_as_is(value) -> bool:
+    """Whether int() or float() would read ``value`` as a number that JSON
+    does not spell: a bool, a string, or, for int(), a float with a
+    fraction."""
+    return isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer()
 
 
 def _whole(value, what: str) -> int:
-    """``int(value)``, refusing a bool and a float with a fraction."""
+    """``int(value)``, refusing a bool, a string and a float with a fraction."""
     whole = int(value)
-    if _fraction_or_bool(value):
+    if _not_read_as_is(value):
         raise DataError(f"generator spec {what} {value!r} is not an integer")
     return whole
 
@@ -320,8 +342,8 @@ def _cell_columns(cells) -> tuple[Sequence[int], Sequence[int], Sequence[float]]
     Cells as spec_to_json writes them, [int, int, float] lists, are split
     into columns whole, which are checked by the types they hold. Other
     cells are read one at a time with int() and float(), which raise for
-    what they cannot read; a cell with a bool, or with an ID that has a
-    fraction, is refused rather than read as another number.
+    what they cannot read; a cell with a bool or a string, or with an ID
+    that has a fraction, is refused rather than read as another number.
     """
     try:
         if set(map(len, cells)) == {3}:
@@ -336,10 +358,11 @@ def _cell_columns(cells) -> tuple[Sequence[int], Sequence[int], Sequence[float]]
         sources.append(int(s))
         dests.append(int(d))
         probs.append(float(p))
-        if _fraction_or_bool(s) or _fraction_or_bool(d):
-            raise DataError(f"generator spec cell [{s}, {d}, {p}]: ID is not an integer")
-        if isinstance(p, bool):
-            raise DataError(f"generator spec cell [{s}, {d}, {p}]: probability is not a number")
+        cell = f"generator spec cell [{s!r}, {d!r}, {p!r}]"
+        if _not_read_as_is(s) or _not_read_as_is(d):
+            raise DataError(f"{cell}: ID is not an integer")
+        if isinstance(p, (bool, str)):
+            raise DataError(f"{cell}: probability is not a number")
     return sources, dests, probs
 
 
@@ -359,7 +382,7 @@ def spec_from_json(text: str) -> GeneratorSpec:
         seed = RngSeed(_whole(seed_doc["seed"], "seed"),
                        tuple(_whole(v, "stream value") for v in seed_doc.get("stream", ())))
         repeat_p = doc["repeat_p"]
-        if isinstance(repeat_p, bool):
+        if isinstance(repeat_p, (bool, str)):
             raise DataError(f"generator spec repeat_p {repeat_p!r} is not a number")
         return GeneratorSpec(matrix=matrix, repeat_p=float(repeat_p),
                              length=_whole(doc["length"], "length"), seed=seed,

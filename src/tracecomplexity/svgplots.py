@@ -125,7 +125,12 @@ def matrix_heatmap_chunks(dense: np.ndarray, log_scale: bool = False,
     if log_ramp:
         low = math.log10(vmin)
         span = math.log10(vmax) - low
-    xs = [pad_l + j * cell for j in range(n_cols)]
+    # A row's text is each cell's head, the row's y and its shade's tail in
+    # turn; only the y and the tails change from row to row.
+    tails = [f'" width="{cell}" height="{cell}" fill="{fill}" stroke="#eeeeee" '
+             f'stroke-width="0.5"/>\n' for fill in _FILLS]
+    parts = [""] * (3 * n_cols)
+    parts[0::3] = [f'<rect x="{pad_l + j * cell}" y="' for j in range(n_cols)]
     for i, row in enumerate(grid):
         # A cell's intensity: 0 without traffic, else its place on the ramp
         # from vmin (log scale) or 0 up to vmax. A NaN anywhere makes vmax NaN.
@@ -141,10 +146,9 @@ def matrix_heatmap_chunks(dense: np.ndarray, log_scale: bool = False,
         if np.isnan(shade).any():  # a NaN or infinite cell has no place on the ramp
             raise ValueError("cannot convert float NaN to integer")
         shade[~(row > 0)] = 255
-        y = pad_t + i * cell
-        yield "".join(f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" '
-                      f'fill="{_FILLS[s]}" stroke="#eeeeee" stroke-width="0.5"/>\n'
-                      for x, s in zip(xs, shade.astype(np.intp).tolist()))
+        parts[1::3] = [str(pad_t + i * cell)] * n_cols
+        parts[2::3] = map(tails.__getitem__, shade.astype(np.intp).tolist())
+        yield "".join(parts)
     yield (f'<text x="{pad_l + n_cols * cell / 2:.0f}" y="{height - 12}" font-size="13" '
            f'text-anchor="middle" font-family="sans-serif">destination</text>\n'
            f'<text x="14" y="{pad_t + n_rows * cell / 2:.0f}" font-size="13" '

@@ -4,11 +4,14 @@ The text is read in pieces of about ``_CHUNK`` characters, each ending at a
 record end. A piece of ASCII text without quotes or lone carriage returns
 is read from its bytes, with vectorized operations:
 
-* Its fields are found. In a fixed-layout piece, whose lines all have the
-  first line's length and its delimiters at the same columns, they are read
-  off the first line: the files ``write_trace`` writes are such pieces, and
-  so are fixed-width logs. Any other piece is scanned for every delimiter
-  and line end.
+* Its fields are found. A fixed-layout piece, whose lines all have the
+  first line's length and its delimiters at the same columns, and whose
+  kept fields are neither empty nor hold whitespace, is read off its first
+  line: each kept column starts at one offset of every line, so the words
+  of its fields (see ``_words``) are one strided view of the bytes. The
+  files ``write_trace`` writes are such pieces. Any other piece, a
+  fixed-width log padded with spaces among them, is scanned for every
+  delimiter and line end, and its fields are stripped.
 * The two kept fields of each record are looked up in the file's
   ``Vocabulary``, which knows every ID of 1 to 7 bytes met so far by the
   64-bit word that spells it. If every record is complete and every kept
@@ -16,7 +19,8 @@ is read from its bytes, with vectorized operations:
 * Otherwise (a new ID, an ID of 8 bytes or more, an empty field, a short
   record) the fields are interned: equal strings get equal codes, numbered
   for the piece alone, and ``Vocabulary.relabel`` maps those codes to
-  labels, learning the new IDs.
+  labels, learning the new IDs. The first 7 bytes of each field tell its
+  ID apart from all IDs of at most 7 bytes; only longer IDs read further.
 
 A piece with quoting, lone carriage returns or non-ASCII text, which the
 byte reading cannot reproduce exactly, goes to csv.reader instead. That
@@ -228,16 +232,19 @@ def _words(word: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
     return words
 
 
-def _string_codes(word: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-                  first: np.ndarray) -> tuple[np.ndarray, int]:
-    """Codes 0..count-1 for the strings data[s:s+n], equal where the strings are.
+def _string_codes(first: np.ndarray, word: np.ndarray | None = None,
+                  starts: np.ndarray | None = None,
+                  lengths: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+    """Codes 0..count-1 for strings, equal where the strings are.
 
     ``first`` holds their words at offset 0 (see ``_words``), which give
-    the codes; each later word splits the codes of the strings that reach
-    it into new ones, so the work grows with the bytes read.
+    the codes, and tell apart all strings of at most 7 bytes. Longer ones
+    are data[s:s+n] for their ``starts`` and ``lengths``, read through
+    ``word``: each later word splits the codes of the strings that reach it
+    into new ones, so the work grows with the bytes read.
     """
     code, count = _dense(first)
-    longest = int(lengths.max(initial=0))
+    longest = 0 if lengths is None else int(lengths.max(initial=0))
     for offset in range(7, longest, 7):
         at = np.flatnonzero(lengths > offset)
         rank, n = _dense(_words(word, starts[at], lengths[at], offset))
@@ -254,19 +261,23 @@ def _first_positions(codes: np.ndarray, count: int) -> np.ndarray:
     return first
 
 
-def _fixed_fields(text: bytes, buf: np.ndarray, delimiter: str, columns: tuple[int, int],
-                  limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Each record's field count, and where its two kept fields start and
-    stop, for a fixed-layout piece: one whose lines all have the first
-    line's length, delimiters and record end, at the same columns. None for
-    any other piece, and for one the scan should report on: a blank or
-    short first line, or one longer than the field limit.
+def _fixed_records(piece: str, data: bytes, buf: np.ndarray, delimiter: str,
+                   columns: tuple[int, int], limit: int, vocab: Vocabulary) -> Records | None:
+    """The records of a fixed-layout piece without whitespace in its
+    fields: one whose lines all have the first line's length, delimiters
+    and record end, at the same columns, and whose two kept fields are not
+    empty. None for any other piece, which the scan reads; that one also
+    reports on a blank or short first line or a field past the limit.
+
+    A kept column's fields all start at one offset of their line, so their
+    words (see ``_words``) are read through a strided view of ``data``, and
+    the IDs of a piece that brings new ones are found by arithmetic.
     """
-    line = text.find(b"\n") + 1
-    if line < 2 or len(text) % line or line > limit:
+    line = piece.find("\n") + 1
+    if line < 2 or len(piece) % line or line > limit:
         return None
-    rows = len(text) // line
-    body = buf[:len(text)]
+    rows = len(piece) // line
+    body = buf[:len(piece)]
     grid = body.reshape(rows, line)
     cols = np.flatnonzero(grid[0] == ord(delimiter))
     cr = grid[:, -2] == _CR  # every \r precedes a \n, so no \r is elsewhere
@@ -278,12 +289,35 @@ def _fixed_fields(text: bytes, buf: np.ndarray, delimiter: str, columns: tuple[i
             or not (grid[:, -1] == _NL).all() or not (grid[:, cols] == ord(delimiter)).all()):
         return None
     opens, ends = [0, *(cols + 1).tolist()], [*cols.tolist(), line - 1 - crlf]
-    line_starts = np.arange(0, len(text), line)
-    starts, stops = np.empty(2 * rows, np.int64), np.empty(2 * rows, np.int64)
-    for k, column in enumerate(columns):
-        np.add(line_starts, opens[column], out=starts[k::2])
-        np.add(line_starts, ends[column], out=stops[k::2])
-    return np.full(rows, cols.size + 1), starts, stops
+    starts = [opens[column] for column in columns]
+    lengths = [ends[column] - opens[column] for column in columns]
+    if min(lengths) == 0:
+        return None
+    first = np.empty(2 * rows, np.uint64)
+    for k, (start, length) in enumerate(zip(starts, lengths)):
+        words = np.ndarray((rows,), "<u8", data, offset=start, strides=(line,))
+        np.bitwise_and(words, _LOW[min(length, 8)], out=first[k::2])
+        first[k::2] |= _TOP[min(length, 8)]
+    widths = np.full(rows, cols.size + 1)
+
+    def bounds(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where fields start and stop; field i is column i % 2 of row i // 2."""
+        begin = (field >> 1) * line + np.take(starts, field & 1)
+        return begin, begin + np.take(lengths, field & 1)
+
+    if max(lengths) < 8:  # the vocabulary knows no longer ID
+        labels = vocab.lookup(first)
+        if labels is not None:
+            return Records(widths, labels, None)
+        codes, count = _string_codes(first)
+    else:
+        begin, end = bounds(np.arange(first.size))
+        word = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # 8 bytes at each offset
+        codes, count = _string_codes(first, word, begin, end - begin)
+    at = _first_positions(codes, count)
+    begin, end = bounds(at)
+    ids = [piece[b:e] for b, e in zip(begin.tolist(), end.tolist())]
+    return Records(widths, codes, ids, None, first[at])
 
 
 def _scanned_fields(text: bytes, buf: np.ndarray, delimiter: str, columns: tuple[int, int],
@@ -325,14 +359,13 @@ def _byte_records(piece: str, delimiter: str, columns: tuple[int, int], limit: i
     text = piece.encode("ascii")
     data = text + _PAD
     buf = np.frombuffer(data, np.uint8)
-    error = None
-    fixed = _fixed_fields(text, buf, delimiter, columns, limit)
-    if fixed:
-        widths, starts, stops = fixed
-    else:
-        widths, starts, stops, error = _scanned_fields(text, buf, delimiter, columns, limit)
     # Only whitespace other than the delimiter can be in a field to strip.
-    if any(c in piece for c in _INNER_SPACE if c != delimiter):
+    spaced = any(c in piece for c in _INNER_SPACE if c != delimiter)
+    if not spaced and (fixed := _fixed_records(piece, data, buf, delimiter, columns, limit,
+                                               vocab)):
+        return fixed
+    widths, starts, stops, error = _scanned_fields(text, buf, delimiter, columns, limit)
+    if spaced:
         while (lead := (starts < stops) & _SPACE[buf[starts]]).any():
             starts += lead
         while (trail := (stops > starts) & _SPACE[buf[stops - 1]]).any():
@@ -346,7 +379,7 @@ def _byte_records(piece: str, delimiter: str, columns: tuple[int, int], limit: i
         labels = vocab.lookup(first)
         if labels is not None:
             return Records(widths, labels, None, error)
-    codes, count = _string_codes(word, starts, lengths, first)
+    codes, count = _string_codes(first, word, starts, lengths)
     at = _first_positions(codes, count)
     ids = [piece[s:e] for s, e in zip(starts[at].tolist(), stops[at].tolist())]
     return Records(widths, codes, ids, error, first[at])

@@ -27,14 +27,21 @@ def _code_word(n: int) -> np.dtype:
     return np.min_scalar_type(n * n - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IdSpace:
     """The sorted IDs a trace uses, and which of them each column uses;
-    ``n`` is the number of IDs. An ID's rank is its position in ``union``."""
+    ``n`` is the number of IDs. An ID's rank is its position in ``union``.
+    Two ID spaces are equal when their three arrays are."""
 
     union: np.ndarray      # sorted unique int64
     in_source: np.ndarray  # bool per union ID: the source column uses it
     in_dest: np.ndarray    # bool per union ID: the destination column uses it
+
+    def __eq__(self, other):
+        if not isinstance(other, IdSpace):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f))
+                   for f in ("union", "in_source", "in_dest"))
 
     @property
     def n(self) -> int:
@@ -53,19 +60,26 @@ class IdSpace:
         return int(np.count_nonzero(self.in_source != self.in_dest)) / self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
     """Ordered (source, destination) pairs plus the ID space they live in.
 
     Each entry is stored as its pair code rank(src)*n + rank(dst), an ID's
     rank being its position in ``id_space.union``, in the smallest unsigned
     word that holds n*n - 1: uint8 up to 16 IDs, uint16 up to 256 and uint32
-    up to 65,536.
+    up to 65,536. Two traces are equal when their codes, ID spaces and names
+    are.
     """
 
     codes: np.ndarray
     id_space: IdSpace
     name: str = "trace"
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.name == other.name and self.id_space == other.id_space
+                and np.array_equal(self.codes, other.codes))
 
     def __post_init__(self):
         if self.codes.size == 0:
@@ -216,31 +230,48 @@ def write_trace(trace: Trace, path) -> None:
     The field width is the digit count of the largest canonical ID, so every
     record occupies exactly 2*width + 2 bytes.
 
-    Each of the n IDs of the trace's ID space is rendered once into a table,
-    which is never larger than the trace's text. Rows are decoded from their
-    codes a block at a time, their digits copied into one reused block as
-    one width-byte item per field, and the block written, so the file's
+    Each of the n IDs of the trace's ID space is rendered once into a table.
+    When the trace has at least n*n entries, the rule by which
+    ``empirical_matrix`` counts pairs densely, a second table holds the whole
+    row of each of the n*n pair codes, which is never larger than the
+    trace's text. Rows are rendered a block at a time into one reused block,
+    by one gather of whole rows by their codes, or else of each field's
+    digits by its decoded rank, and the block is written, so the file's
     bytes are never held whole.
     """
     ids = trace.id_space.union
     n = ids.size
     width = len(str(int(ids[-1])))
-    item = f"V{width}"
     table = np.empty((n, width), dtype=np.uint8)
     _render_fixed_width(ids, width, table)
-    digits = table.view(item)[:, 0]
     rows = min(_WRITE_ROWS, len(trace))
     block = np.empty((rows, 2 * width + 2), dtype=np.uint8)
     block[:, width] = ord(",")
     block[:, -1] = ord("\n")
-    rank = np.empty(rows, dtype=np.intp)  # np.take would copy other index types
+    pairs = None
+    if n * n <= len(trace):
+        pairs = np.empty((n, n, 2 * width + 2), dtype=np.uint8)  # [src rank, dst rank]
+        pairs[:, :, :width] = table[:, None]
+        pairs[:, :, width] = ord(",")
+        pairs[:, :, width + 1:-1] = table
+        pairs[:, :, -1] = ord("\n")
+        pairs = pairs.view(f"V{2 * width + 2}").reshape(n * n)
+    digits = table.view(f"V{width}")[:, 0]
+    # np.take would copy other index types, and in "clip" mode it writes
+    # into ``out`` directly; every rank and code is in range.
+    rank = np.empty(rows, dtype=np.intp)
     with open(path, "wb") as fh:
         for start in range(0, len(trace), rows):
             codes = trace.codes[start:start + rows]
             part, ranks = block[:codes.size], rank[:codes.size]
-            for decode, field in ((np.floor_divide, part[:, :width]),
-                                  (np.remainder, part[:, width + 1:2 * width + 1])):
-                np.take(digits, decode(codes, n, out=ranks), out=field.view(item)[:, 0])
+            if pairs is not None:
+                ranks[...] = codes
+                np.take(pairs, ranks, out=part.view(pairs.dtype)[:, 0], mode="clip")
+            else:
+                for decode, field in ((np.floor_divide, part[:, :width]),
+                                      (np.remainder, part[:, width + 1:-1])):
+                    np.take(digits, decode(codes, n, out=ranks),
+                            out=field.view(digits.dtype)[:, 0], mode="clip")
             fh.write(part)
 
 

@@ -237,7 +237,8 @@ def bad_inputs(tmp_path, report_file):
              ("tiny", "header", "latin1", "huge_id", "partial_report", "list_slices_report",
               "list_report", "spec_by_path", "spec_nan", "spec_negative_id",
               "spec_id_past_n", "spec_negative_seed", "spec_negative_stream",
-              "spec_repeat_p_2", "spec_length_0", "zstd_report", "out")}
+              "spec_repeat_p_2", "spec_length_0", "spec_string_length", "spec_string_cell",
+              "zstd_report", "out")}
     files["tiny"].write_text("a,b\nb,a\nc,d\n")
     files["header"].write_text("src,dst\na,b\nb,a\n")
     files["huge_id"].write_text("a,b\n" + "c" * 200_000 + ",d\n")
@@ -261,10 +262,13 @@ def bad_inputs(tmp_path, report_file):
         files[name].write_text(json.dumps(
             {"schema": "trace-generator-spec/1", "repeat_p": 0.5, "length": 10, "seed": seed,
              "matrix": {"cells": [[0, 0, 1.0]], "n": 1}}))
-    for name, repeat_p, length in (("spec_repeat_p_2", 2, 10), ("spec_length_0", 0.5, 0)):
+    for name, repeat_p, length, cell in (("spec_repeat_p_2", 2, 10, [0, 0, 1.0]),
+                                         ("spec_length_0", 0.5, 0, [0, 0, 1.0]),
+                                         ("spec_string_length", 0.5, "100", [0, 0, 1.0]),
+                                         ("spec_string_cell", 0.5, 10, ["0", 0, 1.0])):
         files[name].write_text(json.dumps(
             {"schema": "trace-generator-spec/1", "repeat_p": repeat_p, "length": length,
-             "matrix": {"cells": [[0, 0, 1.0]], "n": 1}}))
+             "matrix": {"cells": [cell], "n": 1}}))
     files["zstd_report"].write_text(json.dumps(
         {**json.loads(report_file.read_text()), "compressor": {"name": "zstd", "level": 99}}))
     return {name: str(path) for name, path in files.items()}
@@ -288,7 +292,8 @@ def test_non_utf8_spec_names_file(bad_inputs, capsys):
     assert bad_inputs["latin1"] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["spec_repeat_p_2", "spec_length_0"])
+@pytest.mark.parametrize("name", ["spec_repeat_p_2", "spec_length_0", "spec_string_length",
+                                  "spec_string_cell"])
 def test_bad_spec_setting_names_file(bad_inputs, capsys, name):
     assert main(["generate", "--spec", bad_inputs[name], "--output", bad_inputs["out"]]) == 2
     assert bad_inputs[name] in capsys.readouterr().err

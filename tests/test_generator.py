@@ -290,6 +290,12 @@ class TestSpecJson:
             ({"seed": {"seed": 1, "stream": [0.5]}}, "stream value 0.5 is not an integer"),
             ({"seed": {"seed": 1, "stream": [False]}}, "stream value False is not an integer"),
             ({"repeat_p": True}, "repeat_p True is not a number"),
+            # JSON strings are not numbers, whatever they spell.
+            ({"length": "100"}, "length '100' is not an integer"),
+            ({"matrix": {"cells": [[0, 1, 1.0]], "n": "2"}}, "n '2' is not an integer"),
+            ({"seed": {"seed": "1", "stream": []}}, "seed '1' is not an integer"),
+            ({"seed": {"seed": 1, "stream": ["0"]}}, "stream value '0' is not an integer"),
+            ({"repeat_p": "0.5"}, "repeat_p '0.5' is not a number"),
         ]:
             with pytest.raises(DataError, match=match):
                 spec_from_json(self.spec_doc(**changes))
@@ -319,8 +325,12 @@ class TestSpecJson:
         ([0, 1.5, 1.0], r"cell \[0, 1.5, 1.0\]: ID is not an integer"),
         ([True, 0, 1.0], r"cell \[True, 0, 1.0\]: ID is not an integer"),
         ([0, 1, True], r"cell \[0, 1, True\]: probability is not a number"),
+        (["0", 1, 1.0], r"cell \['0', 1, 1.0\]: ID is not an integer"),
+        ([0, "1", 1.0], r"cell \[0, '1', 1.0\]: ID is not an integer"),
+        ([0, 1, "1.0"], r"cell \[0, 1, '1.0'\]: probability is not a number"),
     ], ids=["nan", "inf", "negative-id", "id-past-n", "id-past-int64", "id-fraction",
-            "dest-fraction", "id-bool", "probability-bool"])
+            "dest-fraction", "id-bool", "probability-bool", "id-string", "dest-string",
+            "probability-string"])
     def test_bad_cell_named(self, cell, match):
         doc = {"schema": "trace-generator-spec/1", "repeat_p": 0.5, "length": 10,
                "matrix": {"cells": [cell], "n": 2}}
@@ -488,9 +498,10 @@ class TestAgainstFirstImplementations:
 
 def edge_draws(matrix: TrafficMatrix) -> np.ndarray:
     """Every bucket edge b/K of the guide table generate draws through (K
-    the power of two at or above the number of cells), every cumulative
-    probability, and the floats next to each of them, within [0, 1]."""
-    k = 1 << max(matrix.support_size - 1, 1).bit_length()
+    the power of two at or above the number of cells, and at least
+    ``_GUIDE_BUCKETS``), every cumulative probability, and the floats next
+    to each of them, within [0, 1]."""
+    k = max(1 << max(matrix.support_size - 1, 1).bit_length(), generator_module._GUIDE_BUCKETS)
     points = np.concatenate((np.arange(k + 1) / k, np.cumsum(matrix.probs)))
     draws = np.concatenate((points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)))
     return draws[(draws >= 0.0) & (draws <= 1.0)]
@@ -546,18 +557,20 @@ def oracle_spec_from_json_matrix(text: str):
     """How spec_from_json read a spec's matrix before it built arrays: a
     dict of (s, d) keys, checked, then TrafficMatrix.from_cells. Returns the
     matrix's arrays and n, or the exception's type and message. Like
-    spec_from_json, it refuses a bool, and an ID with a fraction, at the
-    first cell that holds one."""
+    spec_from_json, it refuses a bool, a string, and an ID with a fraction,
+    at the first cell that holds one."""
     try:
         mdoc = json.loads(text)["matrix"]
         cells = {}
         for s, d, p in mdoc["cells"]:
             pair = int(s), int(d)
             cells[pair] = float(p)
-            if any(isinstance(v, bool) or isinstance(v, float) and v != int(v) for v in (s, d)):
-                raise DataError(f"generator spec cell [{s}, {d}, {p}]: ID is not an integer")
-            if isinstance(p, bool):
-                raise DataError(f"generator spec cell [{s}, {d}, {p}]: probability is not a number")
+            if any(isinstance(v, (bool, str)) or isinstance(v, float) and v != int(v)
+                   for v in (s, d)):
+                raise DataError(f"generator spec cell [{s!r}, {d!r}, {p!r}]: ID is not an integer")
+            if isinstance(p, (bool, str)):
+                raise DataError(
+                    f"generator spec cell [{s!r}, {d!r}, {p!r}]: probability is not a number")
         n = int(mdoc["n"])
         for (s, d), p in cells.items():
             if not math.isfinite(p):
@@ -585,9 +598,11 @@ def spec_text(cells, n) -> str:
                        "matrix": {"cells": cells, "n": n}})
 
 
-CELL_ID = st.one_of(st.integers(-1, 4), st.sampled_from([2 ** 40, "3", 2.5, 3.0, None, True]))
+CELL_ID = st.one_of(st.integers(-1, 4),
+                   st.sampled_from([2 ** 40, "3", "x", " 1", 2.5, 3.0, None, True]))
 CELL_P = st.one_of(st.sampled_from([0.5, 0.25, 1.0, 0.0, -0.5, float("nan"), float("inf"),
-                                    "0.5", None, 1, False]), st.floats(0.0, 1.0))
+                                    "0.5", "1", "NaN", "x", None, 1, False]),
+                   st.floats(0.0, 1.0))
 CELL = st.one_of(st.tuples(CELL_ID, CELL_ID, CELL_P).map(list),
                  st.sampled_from([[0, 1], [0, 1, 0.5, 9], "ab", 7]))
 DUPLICATES = st.lists(st.sampled_from([[0, 0, 0.5], [0, 0, 0.25], [1, 0, 0.5], [1, 0, 0.75],

@@ -409,6 +409,39 @@ class TestReadingPaths:
         assert outcome(parse_trace, text, CsvFormat()) == \
             outcome(oracle_parse, text, CsvFormat())
 
+    @pytest.mark.parametrize("chunk", [5, 12, 64, 1 << 16])
+    @pytest.mark.parametrize("text, fmt, fixed", [
+        ("01,02\n02,01\n" * 8 + "03,01\n" + "01,02\n" * 8, CsvFormat(), True),
+        (" 1, 2\n 2,1 \n" * 8, CsvFormat(), False),
+        ("abcdefg,1234567\n1234567,abcdefh\n" * 6, CsvFormat(), True),
+        ("abcdefgh,1234567\n12345678,abcdefh\n" * 6, CsvFormat(), True),
+        ("x,abcdefgh,12345678\ny,12345678,abcdefgi\n" * 6,
+         CsvFormat(source_column=1, dest_column=2), True),
+        ("01;02;x\r\n02;03;y\r\n" * 8, CsvFormat(";", 1, 0), True),
+        ("hh,yy\n" + "01,02\n02,03\n" * 8, CsvFormat(skip_rows=3), True),
+    ], ids=["new-id", "padded", "seven-bytes", "eight-bytes", "eight-bytes-third-column",
+            "crlf", "skip-rows"])
+    def test_fixed_pieces(self, text, fmt, fixed, chunk):
+        """Pieces of one layout are read off their first line whatever the
+        IDs, unless a field holds whitespace: those are scanned."""
+        with mock.patch.object(tokenizer, "_CHUNK", chunk), \
+                mock.patch.object(tokenizer, "_scanned_fields",
+                                  wraps=tokenizer._scanned_fields) as scanned:
+            got = outcome(parse_trace, text, fmt)
+        assert got == outcome(oracle_parse, text, fmt)
+        assert (scanned.call_count == 0) == fixed
+
+    @pytest.mark.parametrize("n, length", [(16, 2_000), (16, 200), (256, 70_000), (300, 5_000)])
+    def test_write_trace_file_never_scanned(self, tmp_path, n, length):
+        """write_trace writes one layout, with or without its table of rows."""
+        rng = np.random.default_rng(n)
+        tr = Trace.from_arrays(rng.integers(0, n, length), rng.integers(0, n, length))
+        write_trace(tr, tmp_path / "t.csv")
+        with mock.patch.object(tokenizer, "_CHUNK", 1 << 10):
+            got, _, scanned = self.parse_counting(tmp_path / "t.csv")
+        assert scanned == 0
+        assert got == outcome(oracle_parse, (tmp_path / "t.csv").read_text(), CsvFormat())
+
     @pytest.mark.parametrize("chunk", [6, 12, 64])
     @pytest.mark.parametrize("last", ["03,01", "yy,01"], ids=["header-only", "header-later"])
     def test_skipped_row_ids_get_no_label(self, chunk, last):
@@ -502,6 +535,18 @@ class TestEncodeAgainstDigitLoop:
         ids = np.arange(99 + extra) % 100
         ids[-1] = 99
         tr = Trace.from_arrays(ids, ids[::-1])
+        assert written(tr, tmp_path_factory) == oracle_encode(tr)
+
+    @pytest.mark.parametrize("n, length", [(16, 255), (16, 256), (16, 257), (256, 65_535),
+                                           (256, 65_536)])
+    def test_table_of_rows_threshold(self, tmp_path_factory, n, length):
+        """A trace of at least n*n entries is written from a table of the
+        rows of every pair, a shorter one from the table of its IDs."""
+        rng = np.random.default_rng(length)
+        src, dst = rng.integers(0, n, length), rng.integers(0, n, length)
+        src[:n] = np.arange(n)  # every ID, so the trace's n is n
+        tr = Trace.from_arrays(src, dst)
+        assert tr.id_space.n == n
         assert written(tr, tmp_path_factory) == oracle_encode(tr)
 
     def test_sparse_id_next_to_zero(self, tmp_path_factory):
@@ -708,6 +753,20 @@ class TestTraceModel:
 
     def test_symmetric_id_space(self, tiny_trace):
         assert tiny_trace.id_space.symmetric_difference_ratio() == 0.0
+
+    def test_equality_compares_arrays(self):
+        """== compares codes, ID spaces and names, as a bool; a trace holds
+        arrays, so it has no hash."""
+        a, b = Trace.from_pairs([(0, 1), (1, 0)]), Trace.from_pairs([(0, 1), (1, 0)])
+        assert a == b and not a != b and a.id_space == b.id_space
+        assert a != Trace.from_pairs([(1, 0), (0, 1)])  # other codes, same ID space
+        assert a != Trace.from_pairs([(0, 1), (1, 0)], name="other")
+        assert a != Trace.from_pairs([(0, 2), (2, 0)])  # other union
+        assert a.id_space != Trace.from_pairs([(0, 1), (0, 1)]).id_space  # other columns
+        assert a != "trace" and a.id_space != "ids"
+        for value in (a, a.id_space):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
 
 
 class TestSlices:
