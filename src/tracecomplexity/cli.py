@@ -1,7 +1,7 @@
 """Command-line surface: analyze, generate, map, matrix.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or malformed
-input), 3 solver or configuration error.
+input), 3 solver or configuration error, or a setting too large for memory.
 """
 
 from __future__ import annotations
@@ -267,6 +267,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, SolverError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as e:  # numpy's says what it could not allocate
+        print(f"error: out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_SOLVER
     except DataError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .trace import Trace
+from .trace import _BLOCK, Trace
 
 PROB_SUM_TOL = 1e-12
 
@@ -176,18 +176,24 @@ def empirical_matrix(trace: Trace) -> TrafficMatrix:
     Pairs are counted by the codes the trace stores, so the matrix lives on
     the ranks 0..n-1 of the trace's IDs whatever the IDs. They are counted
     with a table of all n*n pairs when that is no longer than the trace, else
-    by sorting.
+    by sorting. bincount copies its input to intp, so the table counts a
+    block of entries at a time, and holds one block's copy at most.
     """
     codes, n = trace.codes, trace.id_space.n
     if n * n <= codes.size:
-        counts = np.bincount(codes, minlength=n * n)
+        counts = np.zeros(n * n, dtype=np.intp)
+        for start in range(0, codes.size, _BLOCK):
+            counts += np.bincount(codes[start:start + _BLOCK], minlength=n * n)
         pairs = np.flatnonzero(counts)
         counts = counts[pairs]
     else:
         pairs, counts = np.unique(codes, return_counts=True)
         pairs = pairs.astype(np.int64)
-    return TrafficMatrix(sources=pairs // n, dests=pairs % n,
-                         probs=counts / counts.sum(), n=n)
+    probs = counts / counts.sum()
+    del counts  # so it holds no more than the matrix's three arrays at the end
+    sources = pairs // n
+    pairs %= n  # the destinations, in place
+    return TrafficMatrix(sources=sources, dests=pairs, probs=probs, n=n)
 
 
 def repeat_chain_entropy_rate(matrix: TrafficMatrix, repeat_p: float) -> float:

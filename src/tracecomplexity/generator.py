@@ -23,7 +23,7 @@ from .complexity import CompressorHandle, _measure_temporal, short_trace_warning
 from .entropy import (TrafficMatrix, empirical_matrix, joint_entropy,
                       solve_repeat_probability, solve_zipf_exponent, zipf_matrix)
 from .errors import ConfigError, DataError, SolverError
-from .trace import Trace
+from .trace import _BLOCK, Trace
 from .transforms import RngSeed
 
 
@@ -68,84 +68,97 @@ class MapTarget:
             raise ConfigError("need at least two IDs")
 
 
-#: Buckets of ``_draw_cells``'s guide table at least: 256 KB of int32.
+#: Buckets of ``generate``'s guide table at least.
 _GUIDE_BUCKETS = 1 << 16
-#: Positions ``generate`` indexes at a time: 512 KB of indices.
-_BLOCK = 1 << 16
 
 
-def _draw_cells(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``searchsorted(cdf, u, side="right")`` clipped to the last cell, as
-    int32, for each u in [0, 1]; ``u`` is overwritten.
+def _guide_table(cdf: np.ndarray, word: np.dtype) -> tuple[np.ndarray, np.ndarray, int]:
+    """A guide table for ``searchsorted(cdf, u, side="right")`` clipped to
+    the last cell, for u in [0, 1]: the answer at each bucket edge b/K, in
+    ``word``; whether the edges of each bucket differ; and K.
 
-    A guide table over K buckets holds the clipped answer at each bucket
-    edge b/K. K is the power of two at or above the number of cells, and
-    at least ``_GUIDE_BUCKETS``, so that few buckets hold a cell edge even
-    when the cells are few. Scaling by K is exact, so floor(u*K) is u's
-    bucket and the edges compare exactly. A u whose bucket has one answer
-    at both edges takes that answer; only the others are searched.
+    K is the power of two at or above the number of cells, and at least
+    ``_GUIDE_BUCKETS``, so that few buckets hold a cell edge even when the
+    cells are few. Scaling by K is exact, so floor(u*K) is u's bucket and
+    the edges compare exactly. A u whose bucket has one answer at both
+    edges takes that answer; only the others need a search.
     """
     last = cdf.size - 1
     k = max(1 << max(last, 1).bit_length(), _GUIDE_BUCKETS)
-    guide = np.searchsorted(cdf, np.arange(k + 2) / k, side="right").astype(np.int32)
+    guide = np.searchsorted(cdf, np.arange(k + 2) / k, side="right")
     np.minimum(guide, last, out=guide)  # an answer between two equal edges' clips alike
-    u *= k
-    bucket = u.astype(np.int32)
-    cell = guide.take(bucket)
-    search = np.flatnonzero((guide[:-1] != guide[1:]).take(bucket))
-    del bucket
-    cell[search] = np.minimum(np.searchsorted(cdf * k, u[search], side="right"), last)
-    return cell
+    return guide.astype(word), guide[:-1] != guide[1:], k
+
+
+def _chain_cells(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Each position's matrix cell, in the smallest word that holds the
+    support, and whether each cell was drawn; the chain of ``generate``,
+    run a block of positions at a time with one block's working arrays."""
+    t, m, p = spec.length, spec.matrix, spec.repeat_p
+    u_stream = spec.seed.generator()
+    r_stream = spec.seed.generator(skip=t) if t > 1 and p > 0.0 else None
+    cdf = np.cumsum(m.probs)
+    last = cdf.size - 1
+    cell = np.empty(t, dtype=np.min_scalar_type(last))
+    guide, searched, k = _guide_table(cdf, cell.dtype)
+    cdf *= k  # the bucket scale, which the searched draws take too
+    drawn = np.zeros(m.support_size, dtype=bool)
+    fresh = np.ones(min(t, _BLOCK), dtype=bool)
+    for start in range(0, t, _BLOCK):
+        new = fresh[:min(_BLOCK, t - start)]
+        u = u_stream.random(new.size)
+        if r_stream is not None:
+            head = 1 if start == 0 else 0  # position 0 takes no r
+            np.greater_equal(r_stream.random(new.size - head), p, out=new[head:])
+        # Only fresh positions look up a cell, by their bucket of the guide
+        # table; each run of repeats then takes the cell of the fresh
+        # position that starts it, or of the block's previous position.
+        u = u.compress(new)  # faster than a boolean index
+        u *= k
+        bucket = u.astype(np.intp)
+        picked = guide.take(bucket)
+        search = np.flatnonzero(searched.take(bucket))
+        picked[search] = np.minimum(np.searchsorted(cdf, u[search], side="right"), last)
+        drawn[picked] = True
+        before = cell[start - 1:start] if start else picked[:1]  # position 0 is fresh
+        np.take(np.concatenate((before, picked)), np.cumsum(new, dtype=np.intp),
+                out=cell[start:start + new.size], mode="clip")
+    return cell, drawn
 
 
 def generate(spec: GeneratorSpec) -> Trace:
     """Run the repeat chain: deterministic for a given spec (seed included).
 
-    The draws, in this order, are what make a spec replay byte-identically:
-    one ``random(length)`` call gives every position a uniform u, then, when
-    length > 1 and p > 0, one ``random(length - 1)`` call gives positions
-    1.. a uniform r. Position 0 is fresh, and so is any position whose r is
-    at least p; every other position repeats the previous pair. A fresh
-    position takes the matrix cell (in the matrix's order) at which the
-    cumulative probability first exceeds its u, the last cell if none does.
+    The draws are what make a spec replay byte-identically. The spec seed's
+    stream gives position i a uniform u from its draw i and, when length > 1
+    and p > 0, positions 1.. a uniform r from its draws length, length+1,
+    ...; both are read a block of positions at a time. Position 0 is fresh,
+    and so is any position whose r is at least p; every other position
+    repeats the previous pair. A fresh position takes the matrix cell (in
+    the matrix's order) at which the cumulative probability first exceeds
+    its u, the last cell if none does.
+
+    Besides the trace, it holds one cell index per position, in the
+    smallest word that holds the support, and the trace's codes take its
+    place when their word is the same; its other arrays are one block long
+    or one entry per matrix cell.
     """
-    rng = spec.seed.generator()
-    t = spec.length
     m = spec.matrix
-    u = rng.random(t)
-    fresh = np.ones(t, dtype=bool)
-    if t > 1 and spec.repeat_p > 0.0:
-        fresh[1:] = rng.random(t - 1) >= spec.repeat_p
-    # Only fresh positions look up a cell, whose code is worked out once per
-    # drawn cell; each run of repeats then takes the code of the fresh
-    # position that starts it. Index arrays are made a block of positions at
-    # a time, in the type np.take uses without a copy, and "clip" lets it
-    # write into its output directly; every index is in range.
-    draws = np.empty(np.count_nonzero(fresh))
-    done = 0
-    for start in range(0, t, _BLOCK):
-        picked = np.flatnonzero(fresh[start:start + _BLOCK])
-        u[start:start + _BLOCK].take(picked, out=draws[done:done + picked.size], mode="clip")
-        done += picked.size
-    del u
-    cell = _draw_cells(np.cumsum(m.probs), draws)
-    del draws
-    drawn = np.flatnonzero(np.bincount(cell, minlength=m.support_size))
-    cells = Trace.from_arrays(m.sources[drawn], m.dests[drawn])
-    table = np.zeros(m.support_size, dtype=cells.codes.dtype)
-    table[drawn] = cells.codes
-    codes = table.take(cell)
-    del cell
-    out = np.empty(t, dtype=codes.dtype)
-    run = np.empty(min(t, _BLOCK), dtype=np.intp)  # each position's run: fresh ones so far, less 1
-    last = -1
-    for start in range(0, t, _BLOCK):
-        block = run[:min(_BLOCK, t - start)]
-        np.cumsum(fresh[start:start + _BLOCK], dtype=np.intp, out=block)
-        block += last
-        last = block[-1]
-        codes.take(block, out=out[start:start + _BLOCK], mode="clip")
-    return Trace(out, cells.id_space, spec.name)
+    cell, drawn = _chain_cells(spec)
+    # Each drawn cell's code is worked out once; positions take theirs a
+    # block at a time, through an index in the type np.take uses without a
+    # copy, and "clip" lets it write into its output directly.
+    drawn = np.flatnonzero(drawn)
+    pairs = Trace.from_arrays(m.sources[drawn], m.dests[drawn])
+    table = np.zeros(m.support_size, dtype=pairs.codes.dtype)
+    table[drawn] = pairs.codes
+    out = cell if cell.dtype == table.dtype else np.empty(cell.size, dtype=table.dtype)
+    index = np.empty(min(cell.size, _BLOCK), dtype=np.intp)
+    for start in range(0, cell.size, _BLOCK):
+        block = index[:min(_BLOCK, cell.size - start)]
+        block[...] = cell[start:start + _BLOCK]
+        table.take(block, out=out[start:start + _BLOCK], mode="clip")
+    return Trace(out, pairs.id_space, spec.name)
 
 
 def spec_from_target(target: MapTarget,

@@ -21,6 +21,11 @@ import numpy as np
 from .errors import DataError, EmptyTraceError, TraceParseError
 
 
+#: Entries that ``generate`` and ``empirical_matrix`` work on at a time: an
+#: intp index of a block is 512 KB, whatever the length of the trace.
+_BLOCK = 1 << 16
+
+
 def _code_word(n: int) -> np.dtype:
     """The unsigned word that stores a pair code over n IDs: the smallest
     that holds n*n - 1."""
@@ -146,6 +151,10 @@ def parse_trace(stream: IO, fmt: CsvFormat = CsvFormat(), name: str = "trace") -
     TraceParseError on malformed rows, with the 1-based number of the
     offending record (a quoted field spanning lines makes records and lines
     differ), and EmptyTraceError if no data rows remain.
+
+    Besides the trace, it holds each record's two IDs as int32 labels, in
+    one batch per piece read, and working arrays of one piece. The codes
+    and column masks are formed a batch at a time.
     """
     # Imported on first use, so commands that read no trace do not load it.
     from .tokenizer import Vocabulary, check_rows, records
@@ -170,18 +179,25 @@ def parse_trace(stream: IO, fmt: CsvFormat = CsvFormat(), name: str = "trace") -
             batches.append(codes if run.ids is None else vocab.relabel(codes, run.ids, run.words))
     if not batches:
         raise EmptyTraceError("no entries parsed from input")
-    # Each record's source and destination, interleaved. The relabeled IDs
-    # are 0..n-1 and each occurs, so an ID is its own rank.
-    ids = np.concatenate(batches)
-    del batches
+    # Each batch holds its records' source and destination, interleaved.
+    # The relabeled IDs are 0..n-1 and each occurs, so an ID is its own
+    # rank. Codes and column masks are formed a batch at a time, and each
+    # batch is dropped once its codes are.
     n = len(vocab.mapping)
-    space = IdSpace(np.arange(n, dtype=np.int64),
-                    np.bincount(ids[0::2], minlength=n) > 0,
-                    np.bincount(ids[1::2], minlength=n) > 0)
-    codes = ids[0::2].astype(_code_word(n))
-    codes *= n
-    np.add(codes, ids[1::2], out=codes, casting="unsafe")  # the sum fits the word
-    return Trace(codes, space, name)
+    in_source, in_dest = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    codes = np.empty(sum(ids.size for ids in batches) // 2, dtype=_code_word(n))
+    end = 0
+    batches.reverse()
+    while batches:
+        ids = batches.pop()
+        in_source[ids[0::2]] = True
+        in_dest[ids[1::2]] = True
+        part = codes[end:end + ids.size // 2]
+        part[...] = ids[0::2]
+        part *= n
+        np.add(part, ids[1::2], out=part, casting="unsafe")  # the sum fits the word
+        end += part.size
+    return Trace(codes, IdSpace(np.arange(n, dtype=np.int64), in_source, in_dest), name)
 
 
 def load_trace(path, fmt: CsvFormat = CsvFormat(), name: str | None = None) -> Trace:

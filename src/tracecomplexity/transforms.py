@@ -22,6 +22,9 @@ class RngSeed:
 
     Identical (seed, stream) pairs reproduce identical transform output;
     distinct streams derived from one seed are statistically independent.
+    ``generator(skip=n)`` starts n draws into the stream: each ``random``
+    double takes one draw, so it gives what a generator from the start gives
+    after ``random(n)``, and a stream can be read from two places at once.
     """
 
     seed: int = 0
@@ -35,9 +38,9 @@ class RngSeed:
     def derive(self, *tags: int) -> "RngSeed":
         return RngSeed(self.seed, self.stream + tags)
 
-    def generator(self) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream))
+    def generator(self, skip: int = 0) -> np.random.Generator:
+        bits = np.random.PCG64(np.random.SeedSequence(entropy=self.seed, spawn_key=self.stream))
+        return np.random.Generator(bits.advance(skip))
 
 
 def temporal_shuffle(trace: Trace, seed: RngSeed) -> Trace:

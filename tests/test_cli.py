@@ -11,6 +11,7 @@ import io
 import json
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -433,6 +434,24 @@ class TestTopLevel:
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0
         assert "trace-complexity" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("layer, n, message, line", [
+        ("entropy.zipf_matrix", "70000", "Unable to allocate 36.5 GiB for an array with "
+         "shape (4900000000,) and data type float64",
+         "error: out of memory: Unable to allocate 36.5 GiB for an array with shape "
+         "(4900000000,) and data type float64\n"),
+        ("cli.generate", "16", "", "error: out of memory: an allocation failed\n"),
+    ], ids=["numpy-message", "bare"])
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys, layer, n, message, line):
+        """--n 70000 asks zipf_matrix for 4.9e9 cells, more than memory
+        holds. The command exits 3 with one line. The failing layer is
+        mocked, so no such allocation is made."""
+        module, name = layer.split(".")
+        with mock.patch(f"tracecomplexity.{module}.{name}", side_effect=MemoryError(message)):
+            code = main(["generate", "--target", "0.4", "0.4", "--n", n, "--length", "10",
+                         "--output", str(tmp_path / "x.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == line
 
 
 # --- Fuzzing main(argv) ------------------------------------------------------

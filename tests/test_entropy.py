@@ -6,6 +6,8 @@ bisection before being frozen here.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -186,6 +188,11 @@ class TestEmpiricalMatrixAgainstUnique:
         tr = Trace.from_arrays(ids, (ids * 3 + 1) % 4)
         assert matrix_arrays(empirical_matrix(tr)) == matrix_arrays(oracle_empirical_matrix(tr))
 
+    def test_counted_across_block_edges(self):
+        rng = np.random.default_rng(4)
+        tr = Trace.from_arrays(rng.integers(0, 256, 200_001), rng.integers(0, 256, 200_001))
+        assert matrix_arrays(empirical_matrix(tr)) == matrix_arrays(oracle_empirical_matrix(tr))
+
     @given(st.lists(st.tuples(st.sampled_from([3, 9, 2 ** 40, 2 ** 62]),
                               st.sampled_from([0, 9, 2 ** 33])), min_size=1, max_size=40))
     def test_sparse_ids_by_rank(self, pairs):
@@ -196,6 +203,24 @@ class TestEmpiricalMatrixAgainstUnique:
         m = empirical_matrix(tr)
         assert matrix_arrays(m) == matrix_arrays(oracle_empirical_matrix(ranked))
         assert m.to_dense().sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_empirical_matrix_peak_memory_at_a_million_entries(n):
+    """numpy reports its buffers to tracemalloc. bincount copies its input
+    to intp, so the pairs are counted a block at a time: the counts and one
+    block's copy peaked at 0.5 MB at 16 IDs and 1.6 MB at 256, against 8 MB
+    when the whole trace was copied."""
+    rng = np.random.default_rng(n)
+    tr = Trace.from_arrays(rng.integers(0, n, 1_000_000), rng.integers(0, n, 1_000_000))
+    tracemalloc.start()
+    try:
+        m = empirical_matrix(tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.support_size == n * n
+    assert peak < 3_000_000
 
 
 class TestRepeatChainRate:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,7 +23,7 @@ from tracecomplexity import (CompressorHandle, ConfigError, DataError, Generator
                              reference_presets, repeat_chain_entropy_rate,
                              solve_repeat_probability, spec_from_json,
                              spec_from_target, spec_from_trace, spec_to_json,
-                             trace_complexity, write_spec, zipf_matrix)
+                             trace_complexity, write_spec, write_trace, zipf_matrix)
 from tracecomplexity import generator as generator_module
 
 
@@ -406,21 +408,29 @@ SEEDS = st.builds(RngSeed, st.integers(0, 2 ** 64 - 1),
 
 
 class ScriptedSeed(RngSeed):
-    """A seed whose generator hands out given arrays, one per random() call,
-    and fails on a call of the wrong size."""
+    """A seed whose stream holds given values, the arrays one after another.
+
+    Like a real seed's, its generator reads the stream from the position
+    ``skip``, whatever sizes its ``random`` calls take, and fails on a read
+    past the end. ``read`` lists every stream position handed out.
+    """
 
     def __init__(self, *draws):
         super().__init__()
-        object.__setattr__(self, "draws", draws)
+        object.__setattr__(self, "values", np.concatenate(
+            [np.asarray(d, dtype=np.float64) for d in draws]))
+        object.__setattr__(self, "read", [])
 
-    def generator(self):
-        queue = list(self.draws)
+    def generator(self, skip=0):
+        seed, position = self, skip
 
         class Scripted:
             def random(self, size):
-                values = np.asarray(queue.pop(0), dtype=np.float64)
-                assert values.size == size
-                return values
+                nonlocal position
+                assert position + size <= seed.values.size, "read past the script"
+                seed.read.extend(range(position, position + size))
+                position += size
+                return seed.values[position - size:position].copy()
         return Scripted()
 
 
@@ -462,18 +472,31 @@ class TestAgainstFirstImplementations:
         assert got.sources.tolist() == [0, 9, 9, 9]
 
     def test_draw_order(self):
-        """One random(length) call for the cells, then one random(length - 1)
-        call for the repeats; nothing else draws. A u equal to a cumulative
-        probability (0.25) takes the next cell."""
+        """Draws 0..length-1 of the stream give the cells' u, then draws
+        length..2*length-2 the repeats' r; each is read once, and nothing
+        else draws. A u equal to a cumulative probability (0.25) takes the
+        next cell."""
         matrix = TrafficMatrix.uniform(2)  # cells (0,0) (0,1) (1,0) (1,1)
-        spec = GeneratorSpec(matrix, 0.5, 4, ScriptedSeed([0.1, 0.9, 0.25, 0.6], [0.2, 0.7, 0.4]))
-        got = generate(spec)
+        seed = ScriptedSeed([0.1, 0.9, 0.25, 0.6], [0.2, 0.7, 0.4])
+        got = generate(GeneratorSpec(matrix, 0.5, 4, seed))
         assert list(zip(got.sources.tolist(), got.dests.tolist())) == \
             [(0, 0), (0, 0), (0, 1), (0, 1)]
-        once = GeneratorSpec(matrix, 0.5, 1, ScriptedSeed([0.6]))
-        never = GeneratorSpec(matrix, 0.0, 3, ScriptedSeed([0.1, 0.6, 0.9]))
-        assert generate(once).sources.tolist() == [1]
-        assert generate(never).dests.tolist() == [0, 0, 1]
+        assert sorted(seed.read) == list(range(4 + 3))
+        once, never = ScriptedSeed([0.6]), ScriptedSeed([0.1, 0.6, 0.9])
+        assert generate(GeneratorSpec(matrix, 0.5, 1, once)).sources.tolist() == [1]
+        assert generate(GeneratorSpec(matrix, 0.0, 3, never)).dests.tolist() == [0, 0, 1]
+        assert (sorted(once.read), sorted(never.read)) == ([0], [0, 1, 2])
+
+    def test_scripted_stream_is_read_from_any_position(self):
+        """ScriptedSeed serves one stream, as a real seed does: two whole
+        reads, and blocked reads from two positions, see the same values."""
+        for seed in (RngSeed(4, (1,)), ScriptedSeed(np.arange(9) / 9)):
+            whole = seed.generator()
+            first, second = whole.random(5), whole.random(4)
+            blocked, later = seed.generator(), seed.generator(skip=5)
+            assert np.array_equal(first, np.concatenate((blocked.random(2), blocked.random(3))))
+            assert np.array_equal(second, np.concatenate((later.random(1), later.random(3))))
+
     @settings(max_examples=200)
     @given(matrices(), st.floats(0.0, 1.0), st.integers(1, 10 ** 12), SEEDS, st.text())
     def test_spec_to_json_same_bytes(self, matrix, p, length, seed, name):
@@ -669,3 +692,105 @@ class TestWriteSpec:
         text = (tmp_path / "s.json").read_text()
         assert text == oracle_spec_to_json(spec) + "\n"
         assert spec_from_json(text).matrix.cell_dict() == spec.matrix.cell_dict()
+
+
+#: Matrices of ``PINNED_BYTES``: Zipf at 16 and 256 IDs, one cell, and
+#: cells of probability 0 among others.
+PINNED_MATRICES = {
+    "zipf16": zipf_matrix(16, 1.1),
+    "zipf256": zipf_matrix(256, 1.1),
+    "single": TrafficMatrix.from_cells({(3, 7): 1.0}, n=8),
+    "zeros": TrafficMatrix.from_cells({(1, 2): 0.5, (7, 8): 0.0, (3, 4): 0.5, (9, 9): 0.0}),
+}
+#: "matrix-p<repeat p>-<length>": the first 16 hex digits of the sha256 of
+#: the file write_trace writes for that spec at seed RngSeed(9, (2,)),
+#: recorded when generate still drew every position in one call. The
+#: lengths sit on both sides of the edges of generate's 65,536-entry blocks.
+PINNED_BYTES = {
+    "zipf16-p0.0-1": "c1ecaffa038415d0",
+    "zipf16-p0.0-2": "77e14cba0f7c1eef",
+    "zipf16-p0.0-65535": "ae829d97b9bb2ef5",
+    "zipf16-p0.0-65536": "beb451ca9a6675ab",
+    "zipf16-p0.0-65537": "09ccf1522eb21a58",
+    "zipf16-p0.0-131073": "12c37989397b53c7",
+    "zipf16-p0.5-1": "c1ecaffa038415d0",
+    "zipf16-p0.5-2": "77e14cba0f7c1eef",
+    "zipf16-p0.5-65535": "261eabaa88c0460f",
+    "zipf16-p0.5-65536": "0a2664deb547721f",
+    "zipf16-p0.5-65537": "aeb11a11d5a7151a",
+    "zipf16-p0.5-131073": "4d4fc9036049c1c9",
+    "zipf16-p1.0-1": "c1ecaffa038415d0",
+    "zipf16-p1.0-2": "260f35908d3ad809",
+    "zipf16-p1.0-65535": "b712a6e140bc6f22",
+    "zipf16-p1.0-65536": "9e10bd76fb2e0e6a",
+    "zipf16-p1.0-65537": "66d94919f640c3d9",
+    "zipf16-p1.0-131073": "ef6ff3227f25dc7c",
+    "zipf256-p0.0-1": "b6bef7244a5fa235",
+    "zipf256-p0.0-2": "ea3e1de5d2501a35",
+    "zipf256-p0.0-65535": "ca6cc0a58bf75b06",
+    "zipf256-p0.0-65536": "9f7a9cd83fa0ec51",
+    "zipf256-p0.0-65537": "ac7341f5f8f7df66",
+    "zipf256-p0.0-131073": "ae050c45de84e22c",
+    "zipf256-p0.5-1": "b6bef7244a5fa235",
+    "zipf256-p0.5-2": "ea3e1de5d2501a35",
+    "zipf256-p0.5-65535": "b96e66a9bb13628e",
+    "zipf256-p0.5-65536": "75a3cee47d14638b",
+    "zipf256-p0.5-65537": "41c0fbc065738ed0",
+    "zipf256-p0.5-131073": "439a353ed1b210ef",
+    "zipf256-p1.0-1": "b6bef7244a5fa235",
+    "zipf256-p1.0-2": "4e9af5469dbc5b0d",
+    "zipf256-p1.0-65535": "631b737c7eddde46",
+    "zipf256-p1.0-65536": "1fbba8a8ec80d935",
+    "zipf256-p1.0-65537": "ffcc3864a2ddf438",
+    "zipf256-p1.0-131073": "16d4c65aedfa2a64",
+    "single-p0.5-1": "803725519b9c8541",
+    "single-p0.5-2": "4ddbe9964b759c39",
+    "single-p0.5-65535": "16f79e8fbe899f4d",
+    "single-p0.5-65536": "f17d4df83c320148",
+    "single-p0.5-65537": "39de82c2b3547175",
+    "single-p0.5-131073": "1a513dd902288f37",
+    "zeros-p0.5-1": "35aa7c730f02c510",
+    "zeros-p0.5-2": "5e82b440a7b0c793",
+    "zeros-p0.5-65535": "ac4e388b68bb562c",
+    "zeros-p0.5-65536": "aa4915953508cffb",
+    "zeros-p0.5-65537": "3c305ad8ab849d26",
+    "zeros-p0.5-131073": "568a9e94b1daf26a",
+}
+
+
+class TestBytesAcrossBlockEdges:
+    """generate works a block of positions at a time, and its traces keep
+    the bytes of the whole-array draws, at every block edge."""
+
+    @pytest.mark.parametrize("case", list(PINNED_BYTES))
+    def test_pinned_bytes(self, tmp_path, case):
+        matrix, p, length = case.split("-")
+        spec = GeneratorSpec(PINNED_MATRICES[matrix], float(p[1:]), int(length), RngSeed(9, (2,)))
+        write_trace(generate(spec), tmp_path / "t.csv")
+        digest = hashlib.sha256((tmp_path / "t.csv").read_bytes()).hexdigest()
+        assert digest[:16] == PINNED_BYTES[case]
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.9])
+    def test_same_as_oracle_across_three_block_edges(self, p):
+        spec = GeneratorSpec(PINNED_MATRICES["zipf256"], p, 200_001, RngSeed(3, (5,)))
+        assert columns(generate(spec)) == columns(oracle_generate(spec))
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_generate_peak_memory_at_a_million_entries(n):
+    """numpy reports its buffers to tracemalloc. Besides the trace's codes
+    (1 or 2 MB), generate holds one cell index per position, which the
+    codes reuse when the words agree, and working arrays of one block or
+    one entry per cell. It peaked at 2.5 MB at 16 IDs and 4.3 MB at 256
+    (7.0 MB for a 256-ID matrix that draws nearly all its 65,536 cells,
+    whose ID space takes the most), and at 18 MB when it drew every
+    position in one call."""
+    spec = spec_from_target(MapTarget(0.4, 0.4, n), length=1_000_000, seed=RngSeed(1))
+    tracemalloc.start()
+    try:
+        trace = generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 1_000_000
+    assert peak < 10_000_000
