@@ -13,25 +13,29 @@ import argparse
 import sys
 from pathlib import Path
 
-from tracecomplexity import (MapTarget, RngSeed, default_compressor, generate, load_trace,
+from tracecomplexity import (CompressorHandle, MapTarget, RngSeed, generate, load_trace,
                              spec_from_target, spec_from_trace, trace_complexity,
                              write_spec, write_trace)
-from tracecomplexity.cli import _emit_warnings, _int_at_least
-from tracecomplexity.complexity import DEFAULT_LEVELS
+from tracecomplexity.cli import _emit_warnings, _int_at_least, run_reporting_errors
+from tracecomplexity.complexity import BACKENDS
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trace", default=None, help="trace CSV to fit (default: demo)")
     parser.add_argument("--length", type=_int_at_least(1), default=200_000,
-                        help="demo/regenerated trace length (default: 200000)")
+                        help="demo and regenerated trace length (default: 200000); "
+                             "with --trace, the regenerated trace takes the original's "
+                             "length and this is ignored")
     parser.add_argument("--trials", type=_int_at_least(1), default=3)
     parser.add_argument("--seed", type=_int_at_least(0), default=0)
-    parser.add_argument("--compressor", choices=sorted(DEFAULT_LEVELS), default=None)
+    parser.add_argument("--compressor", choices=sorted(BACKENDS), default="lzma")
     parser.add_argument("--outdir", default="out/fit", help="output directory")
-    args = parser.parse_args(argv)
+    return run_reporting_errors(run, parser.parse_args(argv))
 
-    comp = default_compressor(args.compressor)
+
+def run(args) -> int:
+    comp = CompressorHandle(args.compressor)
     seed = RngSeed(args.seed)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -4,7 +4,8 @@
 Writes, under --outdir: one trace CSV + spec JSON + analysis report per
 preset, a points CSV with the exact measured values, and the complexity-map
 SVG. The defaults (n=16, one million entries, LZMA) take a few minutes on a
-laptop; pass --length 100000 --compressor deflate for a quick look.
+laptop; pass --length 100000 for a quick look. --compressor deflate measures
+with a second instrument, whose points are not on LZMA's scale.
 Each analysis's warnings go to stderr, one line each.
 """
 
@@ -15,12 +16,11 @@ import sys
 import time
 from pathlib import Path
 
-from tracecomplexity import (REFERENCE_TARGETS, AnalysisReport, ConfigError, MapPoint,
-                             RngSeed, complexity_map_svg, default_compressor, generate,
-                             reference_presets, trace_complexity, write_map_csv,
-                             write_spec, write_trace)
-from tracecomplexity.cli import EXIT_SOLVER, _emit_warnings, _int_at_least
-from tracecomplexity.complexity import DEFAULT_LEVELS
+from tracecomplexity import (REFERENCE_TARGETS, AnalysisReport, CompressorHandle, MapPoint,
+                             RngSeed, complexity_map_svg, generate, reference_presets,
+                             trace_complexity, write_map_csv, write_spec, write_trace)
+from tracecomplexity.cli import _emit_warnings, _int_at_least, run_reporting_errors
+from tracecomplexity.complexity import BACKENDS
 
 
 def main(argv=None) -> int:
@@ -32,16 +32,13 @@ def main(argv=None) -> int:
                         help="entries per trace (default: 1000000)")
     parser.add_argument("--trials", type=_int_at_least(1), default=3)
     parser.add_argument("--seed", type=_int_at_least(0), default=0)
-    parser.add_argument("--compressor", choices=sorted(DEFAULT_LEVELS), default=None)
+    parser.add_argument("--compressor", choices=sorted(BACKENDS), default="lzma")
     parser.add_argument("--level", type=int, default=None)
-    args = parser.parse_args(argv)
+    return run_reporting_errors(run, parser.parse_args(argv))
 
-    try:
-        comp = default_compressor(args.compressor, args.level)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SOLVER
 
+def run(args) -> int:
+    comp = CompressorHandle(args.compressor, args.level)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     seed = RngSeed(args.seed)

@@ -11,8 +11,7 @@ synthesizes a trace with a first-order repeat chain.
 """
 
 from .complexity import (ComplexityPoint, CompressorHandle, clear_size_cache,
-                         complexity_of_slices, compressed_size, default_compressor,
-                         trace_complexity)
+                         complexity_of_slices, compressed_size, trace_complexity)
 from .entropy import (TrafficMatrix, empirical_matrix, joint_entropy,
                       normalized_nontemporal, repeat_chain_entropy_rate,
                       solve_repeat_probability, solve_zipf_exponent, zipf_matrix)
@@ -52,7 +51,6 @@ __all__ = [
     "complexity_map_svg",
     "complexity_of_slices",
     "compressed_size",
-    "default_compressor",
     "default_uniform_mode",
     "empirical_matrix",
     "encode_canonical",

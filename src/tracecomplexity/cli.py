@@ -12,8 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .complexity import (DEFAULT_LEVELS, complexity_of_slices, default_compressor,
-                         trace_complexity)
+from .complexity import BACKENDS, CompressorHandle, complexity_of_slices, trace_complexity
 from .entropy import empirical_matrix, joint_entropy, normalized_nontemporal
 from .errors import ConfigError, DataError, SolverError
 from .generator import (MapTarget, generate, spec_from_json, spec_from_target,
@@ -67,12 +66,10 @@ def _add_format_args(p: argparse.ArgumentParser) -> None:
 
 def _add_compressor_args(p: argparse.ArgumentParser) -> None:
     g = p.add_argument_group("compressor")
-    g.add_argument("--compressor", choices=sorted(DEFAULT_LEVELS), default=None,
+    g.add_argument("--compressor", choices=sorted(BACKENDS), default="lzma",
                    help="backend (default: lzma)")
-    g.add_argument("--level", type=int, default=None, help="compression level")
-    g.add_argument("--dict-size", type=int, default=None,
-                   help="lzma dictionary size in bytes (default: sized to each buffer "
-                        "of up to 8 MiB at levels 6-9, else the preset's)")
+    g.add_argument("--level", type=int, default=None,
+                   help="compression level (default: the backend's)")
 
 
 def _format(args) -> CsvFormat:
@@ -92,7 +89,7 @@ def _emit_warnings(messages, prefix: str = "") -> None:
 
 def cmd_analyze(args) -> int:
     trace = load_trace(args.trace, _format(args), name=args.name)
-    compressor = default_compressor(args.compressor, args.level, args.dict_size)
+    compressor = CompressorHandle(args.compressor, args.level)
     seed = RngSeed(args.seed)
     mode = None if args.uniform_mode == "auto" else args.uniform_mode
     point = trace_complexity(trace, compressor, trials=args.trials, seed=seed,
@@ -142,7 +139,7 @@ def cmd_generate(args) -> int:
     else:
         fmt = _format(args)
         original = load_trace(args.fit, fmt)
-        compressor = default_compressor(args.compressor, args.level, args.dict_size)
+        compressor = CompressorHandle(args.compressor, args.level)
         spec = spec_from_trace(original, compressor, trials=args.trials, seed=seed)
         _emit_warnings(spec.warnings)
         print(f"fitted matrix entropy: {joint_entropy(spec.matrix):.6f} bits")
@@ -257,14 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
+def run_reporting_errors(func, *args) -> int:
+    """``func(*args)``, which returns an exit code. A package error, an
+    unreadable or unwritable file or a failed allocation ends instead in one
+    ``error:`` line on stderr and the exit code of its kind."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
-        return args.func(args)
+        return func(*args)
     except (ConfigError, SolverError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SOLVER
@@ -280,6 +275,15 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        return int(e.code or 0)
+    return run_reporting_errors(args.func, args)
 
 
 if __name__ == "__main__":

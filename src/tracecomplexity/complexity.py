@@ -46,37 +46,33 @@ def short_trace_warning(length: int) -> str | None:
 
 @dataclass(frozen=True)
 class CompressorHandle:
-    """A named compression backend with pinned settings.
+    """A compression backend by name, and its level.
 
     The same handle applied to the same bytes always yields the same size.
-    ``lzma`` (raw LZMA2 stream) is the default; ``deflate`` (raw DEFLATE) is
-    a faster, less thorough alternative. Sizes exclude any container or
-    checksum metadata. A handle checks its settings when built, so a
-    setting the backend would reject raises ConfigError before any data is
-    compressed; ``default_compressor`` fills in the unset ones.
+    ``lzma`` (raw LZMA2 stream) is the measuring instrument; ``deflate`` (raw
+    DEFLATE) is a second instrument, whose points are not on LZMA's scale
+    and which is not reliably faster. Sizes exclude any container or
+    checksum metadata. An unset level is the backend's default in
+    ``BACKENDS``, so ``CompressorHandle("lzma")`` equals
+    ``CompressorHandle("lzma", 6)``. A handle checks its settings when
+    built, so a setting the backend would reject raises ConfigError before
+    any data is compressed.
     """
 
-    name: str
-    level: int
-    # lzma only. None sizes the dictionary to the buffer at presets 6-9 (see
-    # _lzma_size) and keeps the preset's dictionary at presets 0-5.
-    dict_size: int | None = None
+    name: str = "lzma"
+    level: int | None = None
 
     def __post_init__(self):
-        if self.name not in _BACKENDS:
+        if self.name not in BACKENDS:
             raise ConfigError(f"unknown compressor {self.name!r}; "
-                              f"available: {sorted(_BACKENDS)}")
+                              f"available: {sorted(BACKENDS)}")
+        if self.level is None:
+            object.__setattr__(self, "level", BACKENDS[self.name][1])
         if not 0 <= self.level <= 9:
             raise ConfigError(f"{self.name} level {self.level} outside 0-9")
-        if self.dict_size is not None:
-            if self.name != "lzma":
-                raise ConfigError(f"a dictionary size applies to lzma only, not {self.name}")
-            if not 4096 <= self.dict_size <= 1536 << 20:  # liblzma's LZMA2 encoder bounds
-                raise ConfigError(
-                    f"lzma dictionary size {self.dict_size} outside 4 KiB-1.5 GiB")
 
     def describe(self) -> dict:
-        return {"name": self.name, "level": self.level, "dict_size": self.dict_size}
+        return {"name": self.name, "level": self.level}
 
 
 #: The smallest dictionary of presets 6-9: a buffer no longer than this fits
@@ -85,19 +81,16 @@ _PRESET_MIN_DICT = 8 << 20
 
 
 def _lzma_size(data: bytes, handle: CompressorHandle) -> int:
-    """liblzma sizes its match-finder tables from ``dict_size``, not from the
-    input, so at presets 6-9 a buffer of up to 8 MiB gets the smallest
+    """liblzma sizes its match-finder tables from the dictionary size, not
+    from the input, so at presets 6-9 a buffer of up to 8 MiB gets the smallest
     power-of-two dictionary (at least 4 KiB) that holds it, instead of
     allocating and zeroing about 17 MB per call. The sizes matched the
     preset dictionary's in every buffer compared (pair codes of generated
     traces and flow logs); that is evidence, not a proof. At presets 4 and
-    5 a few buffers differed, so presets 0-5 keep their dictionary. A
-    ``dict_size`` set on the handle is used as given.
+    5 a few buffers differed, so presets 0-5 keep their dictionary.
     """
     filt: dict = {"id": lzma.FILTER_LZMA2, "preset": handle.level}
-    if handle.dict_size is not None:
-        filt["dict_size"] = handle.dict_size
-    elif handle.level >= 6 and len(data) <= _PRESET_MIN_DICT:
+    if handle.level >= 6 and len(data) <= _PRESET_MIN_DICT:
         filt["dict_size"] = max(4096, 1 << (len(data) - 1).bit_length())
     return len(lzma.compress(data, format=lzma.FORMAT_RAW, filters=[filt]))
 
@@ -107,20 +100,11 @@ def _deflate_size(data: bytes, handle: CompressorHandle) -> int:
     return len(co.compress(data) + co.flush())
 
 
-_BACKENDS = {"lzma": _lzma_size, "deflate": _deflate_size}
-DEFAULT_LEVELS = {"lzma": 6, "deflate": 9}
-
-
-def default_compressor(name: str | None = None, level: int | None = None,
-                       dict_size: int | None = None) -> CompressorHandle:
-    """A handle with the unset settings filled in: the backend defaults to
-    lzma and the level to the backend's entry in DEFAULT_LEVELS. The handle
-    checks the settings."""
-    if name is None:
-        name = "lzma"
-    if level is None:
-        level = DEFAULT_LEVELS.get(name)  # an unknown name fails in the handle
-    return CompressorHandle(name=name, level=level, dict_size=dict_size)
+#: Each backend's name: its size function and its default level.
+BACKENDS: dict[str, tuple[Callable[[bytes, CompressorHandle], int], int]] = {
+    "lzma": (_lzma_size, 6),
+    "deflate": (_deflate_size, 9),
+}
 
 
 # Compressing multi-megabyte buffers dominates runtime, and uniform
@@ -145,7 +129,7 @@ def compressed_size(data: bytes, compressor: CompressorHandle) -> int:
         if key in _size_cache:
             _size_cache.move_to_end(key)
             return _size_cache[key]
-    size = _BACKENDS[compressor.name](data, compressor)
+    size = BACKENDS[compressor.name][0](data, compressor)
     with _cache_lock:
         _size_cache[key] = size
         while len(_size_cache) > _SIZE_CACHE_MAX:

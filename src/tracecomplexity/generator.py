@@ -342,11 +342,12 @@ def _not_read_as_is(value) -> bool:
 
 
 def _whole(value, what: str) -> int:
-    """``int(value)``, refusing a bool, a string and a float with a fraction."""
-    whole = int(value)
-    if _not_read_as_is(value):
-        raise DataError(f"generator spec {what} {value!r} is not an integer")
-    return whole
+    """``int(value)`` of the JSON value ``what``, refusing a bool, a float
+    with a fraction and anything that is not a number."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise DataError(f"{what} {value!r} is not an integer")
+    return int(value)
 
 
 def _cell_columns(cells) -> tuple[Sequence[int], Sequence[int], Sequence[float]]:
@@ -390,15 +391,16 @@ def spec_from_json(text: str) -> GeneratorSpec:
     try:
         mdoc = doc["matrix"]
         sources, dests, probs = _cell_columns(mdoc["cells"])
-        matrix = _cells_matrix(sources, dests, probs, _whole(mdoc["n"], "n"))
+        matrix = _cells_matrix(sources, dests, probs, _whole(mdoc["n"], "generator spec n"))
         seed_doc = doc.get("seed", {"seed": 0, "stream": []})
-        seed = RngSeed(_whole(seed_doc["seed"], "seed"),
-                       tuple(_whole(v, "stream value") for v in seed_doc.get("stream", ())))
+        seed = RngSeed(_whole(seed_doc["seed"], "generator spec seed"),
+                       tuple(_whole(v, "generator spec stream value")
+                             for v in seed_doc.get("stream", ())))
         repeat_p = doc["repeat_p"]
         if isinstance(repeat_p, (bool, str)):
             raise DataError(f"generator spec repeat_p {repeat_p!r} is not a number")
         return GeneratorSpec(matrix=matrix, repeat_p=float(repeat_p),
-                             length=_whole(doc["length"], "length"), seed=seed,
+                             length=_whole(doc["length"], "generator spec length"), seed=seed,
                              name=doc.get("name", "generated"))
     except (AttributeError, ConfigError, KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(f"malformed generator spec: {e!r}") from e

@@ -14,6 +14,7 @@ from datetime import datetime, timezone
 
 from .complexity import ComplexityPoint, CompressorHandle
 from .errors import ConfigError, DataError
+from .generator import _whole
 from .trace import Trace
 from .transforms import RngSeed
 
@@ -92,26 +93,30 @@ class AnalysisReport:
             if doc.get("schema") != REPORT_SCHEMA:
                 raise DataError(
                     f"not a trace-complexity report (schema {doc.get('schema')!r})")
-            comp = doc["compressor"]
-            seed = doc["seed"]
+            trace, comp, seed = doc["trace"], doc["compressor"], doc["seed"]
+            if comp.get("dict_size") is not None:
+                raise DataError(f"report compressor dict_size {comp['dict_size']!r}: a "
+                                f"dictionary size is no longer a setting; re-analyse the trace")
             return cls(
-                trace_name=doc["trace"]["name"],
-                entries=doc["trace"]["entries"],
-                n_ids=doc["trace"]["n_ids"],
-                source_id_count=doc["trace"]["source_id_count"],
-                dest_id_count=doc["trace"]["dest_id_count"],
-                compressor=CompressorHandle(name=comp["name"], level=comp["level"],
-                                            dict_size=comp.get("dict_size")),
-                trials=doc["trials"],
-                seed=RngSeed(int(seed["seed"]),
-                             tuple(int(v) for v in seed.get("stream", ()))),
+                trace_name=trace["name"],
+                entries=_whole(trace["entries"], "report entries"),
+                n_ids=_whole(trace["n_ids"], "report n_ids"),
+                source_id_count=_whole(trace["source_id_count"], "report source_id_count"),
+                dest_id_count=_whole(trace["dest_id_count"], "report dest_id_count"),
+                compressor=CompressorHandle(
+                    comp["name"], _whole(comp["level"], "report compressor level")),
+                trials=_whole(doc["trials"], "report trials"),
+                seed=RngSeed(_whole(seed["seed"], "report seed"),
+                             tuple(_whole(v, "report stream value")
+                                   for v in seed.get("stream", ()))),
                 point=ComplexityPoint.from_dict(doc["point"]),
                 slices=({k: ComplexityPoint.from_dict(v) for k, v in doc["slices"].items()}
                         if doc.get("slices") else None),
-                trace_path=doc["trace"].get("path"),
+                trace_path=trace.get("path"),
                 created_at=doc.get("created_at"),
             )
-        except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as e:
+        except (AttributeError, ConfigError, KeyError, TypeError, ValueError,
+                OverflowError) as e:
             raise DataError(f"malformed report: {e!r}") from e
 
 

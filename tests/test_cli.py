@@ -193,6 +193,27 @@ class TestAnalyze:
                     + FAST) == 0
 
 
+#: Reports that each set one field the reader refuses: a setting that is
+#: gone, or an integer spelled as a bool, a string or a fraction. The name
+#: is the fixture file's; the value replaces the field at the dotted path.
+BAD_REPORT_FIELDS = {
+    "report_dict_size": ("compressor.dict_size", 65536),
+    "report_level_null": ("compressor.level", None),
+    "report_level_string": ("compressor.level", "6"),
+    "report_level_fraction": ("compressor.level", 6.5),
+    "report_seed_fraction": ("seed.seed", 1.5),
+    "report_seed_string": ("seed.seed", "7"),
+    "report_seed_bool": ("seed.seed", True),
+    "report_stream_fraction": ("seed.stream", [0.5]),
+    "report_trials_bool": ("trials", True),
+    "report_trials_fraction": ("trials", 2.5),
+    "report_trials_string": ("trials", "3"),
+    "report_entries_fraction": ("trace.entries", 10.5),
+    "report_n_ids_string": ("trace.n_ids", "16"),
+    "report_source_id_count_bool": ("trace.source_id_count", True),
+    "report_dest_id_count_fraction": ("trace.dest_id_count", 3.5),
+}
+
 # Bad inputs, each of which ends in an exit code and one stderr line. The
 # paths name files that the bad_inputs fixture writes.
 BAD_INPUTS = [
@@ -227,8 +248,10 @@ BAD_INPUTS = [
     (["map", "{zstd_report}", "--output", "{out}"], 2),
     (["analyze", "{tiny}", "--level", "99"], 3),
     (["analyze", "{tiny}", "--compressor", "deflate", "--level", "99"], 3),
-    (["analyze", "{tiny}", "--dict-size", "1"], 3),
-    (["analyze", "{tiny}", "--compressor", "deflate", "--dict-size", "65536"], 3),
+    # a dictionary size is no longer a setting: the flag is a usage error
+    (["analyze", "{tiny}", "--dict-size", "1"], 1),
+    (["analyze", "{tiny}", "--compressor", "deflate", "--dict-size", "65536"], 1),
+    *[(["map", "{%s}" % name, "--output", "{out}"], 2) for name in BAD_REPORT_FIELDS],
 ]
 
 
@@ -239,7 +262,7 @@ def bad_inputs(tmp_path, report_file):
               "list_report", "spec_by_path", "spec_nan", "spec_negative_id",
               "spec_id_past_n", "spec_negative_seed", "spec_negative_stream",
               "spec_repeat_p_2", "spec_length_0", "spec_string_length", "spec_string_cell",
-              "zstd_report", "out")}
+              "zstd_report", "out", *BAD_REPORT_FIELDS)}
     files["tiny"].write_text("a,b\nb,a\nc,d\n")
     files["header"].write_text("src,dst\na,b\nb,a\n")
     files["huge_id"].write_text("a,b\n" + "c" * 200_000 + ",d\n")
@@ -272,6 +295,14 @@ def bad_inputs(tmp_path, report_file):
              "matrix": {"cells": [cell], "n": 1}}))
     files["zstd_report"].write_text(json.dumps(
         {**json.loads(report_file.read_text()), "compressor": {"name": "zstd", "level": 99}}))
+    for name, (field, value) in BAD_REPORT_FIELDS.items():
+        doc = json.loads(report_file.read_text())
+        *parents, key = field.split(".")
+        owner = doc
+        for parent in parents:
+            owner = owner[parent]
+        owner[key] = value
+        files[name].write_text(json.dumps(doc))
     return {name: str(path) for name, path in files.items()}
 
 
@@ -298,6 +329,24 @@ def test_non_utf8_spec_names_file(bad_inputs, capsys):
 def test_bad_spec_setting_names_file(bad_inputs, capsys, name):
     assert main(["generate", "--spec", bad_inputs[name], "--output", bad_inputs["out"]]) == 2
     assert bad_inputs[name] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(BAD_REPORT_FIELDS))
+def test_bad_report_field_names_file_and_field(bad_inputs, capsys, name):
+    assert main(["map", bad_inputs[name], "--output", bad_inputs["out"]]) == 2
+    err = capsys.readouterr().err
+    assert bad_inputs[name] in err
+    assert BAD_REPORT_FIELDS[name][0].rpartition(".")[2] in err.replace(bad_inputs[name], "")
+
+
+def test_report_with_null_dict_size_loads(report_file, tmp_path):
+    """Every report written while a dictionary size was a setting holds
+    ``"dict_size": null``; those load, and measured the same handle."""
+    doc = json.loads(report_file.read_text())
+    doc["compressor"]["dict_size"] = None
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    assert load_report(old).compressor == load_report(report_file).compressor
 
 
 def test_oversized_field_names_line(bad_inputs, capsys):
@@ -487,8 +536,7 @@ FORMAT_OPTIONS = [("--delimiter", [",", ";", "\t", '"'], ["", "ab"]),
                   ("--dest-col", ["0", "1", "3"], ["-2"]),
                   ("--skip-rows", ["0", "1", "5"], ["-1", "x"])]
 COMPRESSOR_OPTIONS = [("--compressor", ["deflate", "lzma"], ["zstd"]),
-                      ("--level", ["0", "1", "10", "-1"], ["x"]),
-                      ("--dict-size", ["1", "4096"], ["x"])]
+                      ("--level", ["0", "1", "10", "-1"], ["x"])]
 COMMON = [("--seed", ["0", "7", str(2 ** 70)], ["-1", "x"]), ("--trials", ["1", "2"], ["0"])]
 SWITCH = ([], [])
 OPTIONS = {

@@ -13,7 +13,7 @@ import pytest
 from tracecomplexity import (ComplexityPoint, CompressorHandle, ConfigError,
                              GeneratorSpec, RngSeed, Trace, TrafficMatrix,
                              clear_size_cache, complexity, complexity_of_slices,
-                             compressed_size, default_compressor, default_uniform_mode,
+                             compressed_size, default_uniform_mode,
                              encode_canonical, generate, resample_uniform, slice_column,
                              temporal_shuffle, trace_complexity, zipf_matrix)
 
@@ -128,50 +128,56 @@ class TestLzmaDictionary:
         complexity._lzma_size(bytes((8 << 20) + 1), CompressorHandle("lzma", 6))
         assert filters_seen == [{"id": lzma.FILTER_LZMA2, "preset": 6}]
 
-    @pytest.mark.parametrize("level, size", [(1, 100_000), (6, 100_000), (9, (8 << 20) + 1)])
-    def test_user_dictionary_passes_unchanged(self, filters_seen, level, size):
-        handle = default_compressor("lzma", level, dict_size=65_536)
-        complexity._lzma_size(bytes(size), handle)
-        assert filters_seen == [{"id": lzma.FILTER_LZMA2, "preset": level,
-                                 "dict_size": 65_536}]
-        assert handle.describe()["dict_size"] == 65_536
-
 
 class TestDefaultCompressor:
+    """An unset setting of a handle is the backend table's default."""
+
     def test_builtin_default(self):
-        handle = default_compressor()
+        handle = CompressorHandle()
         assert handle.name == "lzma" and handle.level == 6
 
     @pytest.mark.parametrize("env, kwargs, expected", [
-        ("deflate", {}, ("lzma", 6, None)),
-        ("deflate", {"level": 1}, ("lzma", 1, None)),
-        ("deflate", {"name": "lzma"}, ("lzma", 6, None)),
-        ("", {"name": "deflate"}, ("deflate", 9, None)),
-        ("", {"level": 0}, ("lzma", 0, None)),
-        ("", {"level": 9}, ("lzma", 9, None)),
-        ("", {"dict_size": 4096}, ("lzma", 6, 4096)),
+        ("deflate", {}, ("lzma", 6)),
+        ("deflate", {"level": 1}, ("lzma", 1)),
+        ("deflate", {"name": "lzma"}, ("lzma", 6)),
+        ("", {"name": "deflate"}, ("deflate", 9)),
+        ("", {"level": 0}, ("lzma", 0)),
+        ("", {"level": 9}, ("lzma", 9)),
+        ("", {"name": "deflate", "level": None}, ("deflate", 9)),
     ])
     def test_resolution(self, monkeypatch, env, kwargs, expected):
         # the backend is the argument, else lzma, and the level defaults per
         # backend; the variable that once chose the backend is not read
         monkeypatch.setenv("TRACE_COMPLEXITY_COMPRESSOR", env)
-        handle = default_compressor(**kwargs)
-        assert (handle.name, handle.level, handle.dict_size) == expected
+        handle = CompressorHandle(**kwargs)
+        assert (handle.name, handle.level) == expected
         assert compressed_size(b"abcabcabd" * 100, handle) > 0
+
+    def test_unset_level_keys_the_size_cache_as_the_default(self, monkeypatch):
+        # a handle with its level filled in is the handle with that level
+        # given, so the two share cached sizes
+        assert CompressorHandle("deflate") == CompressorHandle("deflate", 9)
+        assert hash(CompressorHandle()) == hash(CompressorHandle("lzma", 6))
+        data = b"abcabcabd" * 100
+        clear_size_cache()
+        compressed_size(data, CompressorHandle("lzma", 6))
+        monkeypatch.setitem(complexity.BACKENDS, "lzma", (None, 6))  # a miss would call None
+        assert compressed_size(data, CompressorHandle()) > 0
+        clear_size_cache()
 
     @pytest.mark.parametrize("kwargs", [
         {"name": "zstd"},
         {"level": 10},
         {"level": -1},
         {"name": "deflate", "level": 99},
-        {"dict_size": 4095},
-        {"dict_size": (1536 << 20) + 1},
-        {"name": "deflate", "dict_size": 1 << 16},
+        {"name": "LZMA"},
+        {"name": "deflate", "level": 10},
+        {"name": "deflate", "level": -1},
     ])
     def test_invalid_settings_rejected(self, kwargs):
-        # the handle checks its settings, however it is built
+        # the handle checks its settings, given or filled in
         with pytest.raises(ConfigError):
-            default_compressor(**kwargs)
+            CompressorHandle(**kwargs)
         settings = {"name": "lzma", "level": 6, **kwargs}
         with pytest.raises(ConfigError):
             CompressorHandle(**settings)

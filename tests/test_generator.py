@@ -16,6 +16,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import flow_like_trace, periodic_trace, two_level_burst_trace
 from tracecomplexity import (CompressorHandle, ConfigError, DataError, GeneratorSpec,
                              MapTarget, REFERENCE_TARGETS, RngSeed, SolverError, Trace,
                              TrafficMatrix, empirical_matrix, encode_canonical,
@@ -224,6 +225,23 @@ class TestSpecFromTrace:
         assert text == spec_to_json(dataclasses.replace(fit, warnings=()))
         assert fit == dataclasses.replace(fit, warnings=("other",))
         assert spec_from_json(text) == fit
+
+
+@pytest.mark.parametrize("build", [periodic_trace, flow_like_trace, two_level_burst_trace],
+                         ids=["periodic", "flow-like", "two-level-burst"])
+def test_fit_round_trip_on_traces_the_chain_did_not_generate(build):
+    """Criterion 6's tolerance on traces of other processes: a periodic one,
+    where almost no entry repeats the one before it, so a repeat count gives
+    no ordering to fit; a flow-like one with disjoint client and server IDs;
+    and a burst process with two levels. The fit compresses the trace, so it
+    finds the repeat probability that gives the same temporal ratio."""
+    comp, seed = CompressorHandle("lzma", 6), RngSeed(0)
+    original = build(50_000, seed=1)
+    fitted = spec_from_trace(original, comp, trials=3, seed=seed)
+    p_orig = trace_complexity(original, comp, trials=3, seed=seed)
+    p_regen = trace_complexity(generate(fitted), comp, trials=3, seed=seed)
+    assert max(abs(p_orig.temporal - p_regen.temporal),
+               abs(p_orig.non_temporal - p_regen.non_temporal)) <= 0.1
 
 
 class TestReferencePresets:
