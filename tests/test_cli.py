@@ -248,7 +248,7 @@ BAD_INPUTS = [
     (["map", "{zstd_report}", "--output", "{out}"], 2),
     (["analyze", "{tiny}", "--level", "99"], 3),
     (["analyze", "{tiny}", "--compressor", "deflate", "--level", "99"], 3),
-    # a dictionary size is no longer a setting: the flag is a usage error
+    # there is no dictionary-size option: a command line that sets one fails
     (["analyze", "{tiny}", "--dict-size", "1"], 1),
     (["analyze", "{tiny}", "--compressor", "deflate", "--dict-size", "65536"], 1),
     *[(["map", "{%s}" % name, "--output", "{out}"], 2) for name in BAD_REPORT_FIELDS],
