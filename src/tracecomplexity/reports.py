@@ -115,8 +115,7 @@ class AnalysisReport:
                 trace_path=trace.get("path"),
                 created_at=doc.get("created_at"),
             )
-        except (AttributeError, ConfigError, KeyError, TypeError, ValueError,
-                OverflowError) as e:
+        except (AttributeError, ConfigError, KeyError, TypeError, ValueError) as e:
             raise DataError(f"malformed report: {e!r}") from e
 
 
