@@ -38,11 +38,9 @@ def run(args) -> int:
     comp = CompressorHandle(args.compressor)
     seed = RngSeed(args.seed)
     outdir = Path(args.outdir)
+    original = load_trace(args.trace) if args.trace else None
     outdir.mkdir(parents=True, exist_ok=True)
-
-    if args.trace:
-        original = load_trace(args.trace)
-    else:
+    if original is None:
         demo_spec = spec_from_target(MapTarget(0.4, 0.4, 16), length=args.length,
                                      seed=seed.derive(1), name="demo")
         original = generate(demo_spec)

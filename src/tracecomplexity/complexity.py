@@ -22,12 +22,12 @@ import os
 import threading
 import zlib
 from collections import OrderedDict
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .trace import Trace, encode_canonical, slice_column
 from .transforms import RngSeed, default_uniform_mode, resample_uniform, temporal_shuffle
 
@@ -68,8 +68,8 @@ class CompressorHandle:
                               f"available: {sorted(BACKENDS)}")
         if self.level is None:
             object.__setattr__(self, "level", BACKENDS[self.name][1])
-        if not 0 <= self.level <= 9:
-            raise ConfigError(f"{self.name} level {self.level} outside 0-9")
+        if type(self.level) is not int or not 0 <= self.level <= 9:
+            raise ConfigError(f"{self.name} level {self.level!r} is not an integer in 0-9")
 
     def describe(self) -> dict:
         return {"name": self.name, "level": self.level}
@@ -137,13 +137,33 @@ def compressed_size(data: bytes, compressor: CompressorHandle) -> int:
     return size
 
 
+def _whole(value, what: str) -> int:
+    """``int(value)`` of the JSON value ``what``, refusing a bool, a float
+    with a fraction and anything that is not a number."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise DataError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
+def _sizes(values, what: str) -> tuple[int, ...]:
+    """The sizes of the JSON list ``what``: at least one, each of 1 to 2**63 - 1
+    bytes, so that the ratios of a point are finite floats."""
+    sizes = tuple(_whole(v, what) for v in values)
+    if not sizes or not 1 <= min(sizes) <= max(sizes) < 1 << 63:
+        raise DataError(f"{what} {values!r} is not a list of sizes of 1 to 2**63 - 1 bytes")
+    return sizes
+
+
+def _temporal_ratio(c_original: int, c_shuffled: Sequence[int]) -> float:
+    return c_original / float(np.mean(c_shuffled))
+
+
 @dataclass(frozen=True)
 class ComplexityPoint:
-    """One trace's coordinates on the complexity map, with raw evidence."""
+    """One trace's coordinates on the complexity map, as the compressed sizes
+    they come from: T, NT and overall are properties of those sizes."""
 
-    temporal: float
-    non_temporal: float
-    overall: float
     c_original: int
     c_shuffled_trials: tuple[int, ...]
     c_uniform_trials: tuple[int, ...]
@@ -157,6 +177,18 @@ class ComplexityPoint:
     @property
     def c_uniform_mean(self) -> float:
         return float(np.mean(self.c_uniform_trials))
+
+    @property
+    def temporal(self) -> float:
+        return _temporal_ratio(self.c_original, self.c_shuffled_trials)
+
+    @property
+    def non_temporal(self) -> float:
+        return self.c_shuffled_mean / self.c_uniform_mean
+
+    @property
+    def overall(self) -> float:
+        return self.temporal * self.non_temporal
 
     def as_dict(self) -> dict:
         return {
@@ -174,20 +206,15 @@ class ComplexityPoint:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ComplexityPoint":
+        """The point of an ``as_dict`` block, read from its sizes: the
+        ratios and means written beside them are recomputed, not read."""
         return cls(
-            temporal=d["temporal"],
-            non_temporal=d["non_temporal"],
-            overall=d["overall"],
-            c_original=d["c_original"],
-            c_shuffled_trials=tuple(d["c_shuffled_trials"]),
-            c_uniform_trials=tuple(d["c_uniform_trials"]),
+            c_original=_sizes([d["c_original"]], "point c_original")[0],
+            c_shuffled_trials=_sizes(d["c_shuffled_trials"], "point c_shuffled_trials"),
+            c_uniform_trials=_sizes(d["c_uniform_trials"], "point c_uniform_trials"),
             uniform_mode=d["uniform_mode"],
             warnings=tuple(d["warnings"]),
         )
-
-
-def _temporal_ratio(c_original: int, c_shuffled: list[int]) -> float:
-    return c_original / float(np.mean(c_shuffled))
 
 
 def _usable_cpus() -> int:
@@ -274,29 +301,14 @@ def trace_complexity(trace: Trace,
     warnings: list[str] = [short] if short else []
 
     c_original, c_shuffled, c_uniform = _compressed_sizes(trace, compressor, trials, seed, mode)
-
-    mean_shuffled = float(np.mean(c_shuffled))
-    mean_uniform = float(np.mean(c_uniform))
-    temporal = _temporal_ratio(c_original, c_shuffled)
-    non_temporal = mean_shuffled / mean_uniform
-    overall = temporal * non_temporal
-    for label, value in (("temporal", temporal), ("non-temporal", non_temporal),
-                         ("overall", overall)):
+    point = ComplexityPoint(c_original, tuple(c_shuffled), tuple(c_uniform), mode)
+    for label, value in (("temporal", point.temporal), ("non-temporal", point.non_temporal),
+                         ("overall", point.overall)):
         if value > 1.0:
             warnings.append(
                 f"{label} ratio {value:.4f} exceeds 1 (compressor noise); "
                 f"raw value reported")
-
-    return ComplexityPoint(
-        temporal=temporal,
-        non_temporal=non_temporal,
-        overall=overall,
-        c_original=c_original,
-        c_shuffled_trials=tuple(c_shuffled),
-        c_uniform_trials=tuple(c_uniform),
-        uniform_mode=mode,
-        warnings=tuple(warnings),
-    )
+    return replace(point, warnings=tuple(warnings))
 
 
 def complexity_of_slices(trace: Trace,

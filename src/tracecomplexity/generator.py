@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .complexity import CompressorHandle, _measure_temporal, short_trace_warning
+from .complexity import CompressorHandle, _measure_temporal, _whole, short_trace_warning
 from .entropy import (TrafficMatrix, empirical_matrix, joint_entropy,
                       solve_repeat_probability, solve_zipf_exponent, zipf_matrix)
 from .errors import ConfigError, DataError, SolverError
@@ -339,15 +339,6 @@ def _not_read_as_is(value) -> bool:
     does not spell: a bool, a string, or, for int(), a float with a
     fraction."""
     return isinstance(value, (bool, str)) or isinstance(value, float) and not value.is_integer()
-
-
-def _whole(value, what: str) -> int:
-    """``int(value)`` of the JSON value ``what``, refusing a bool, a float
-    with a fraction and anything that is not a number."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise DataError(f"{what} {value!r} is not an integer")
-    return int(value)
 
 
 def _cell_columns(cells) -> tuple[Sequence[int], Sequence[int], Sequence[float]]:

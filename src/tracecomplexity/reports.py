@@ -12,9 +12,8 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .complexity import ComplexityPoint, CompressorHandle
+from .complexity import ComplexityPoint, CompressorHandle, _whole
 from .errors import ConfigError, DataError
-from .generator import _whole
 from .trace import Trace
 from .transforms import RngSeed
 
@@ -97,6 +96,8 @@ class AnalysisReport:
             if comp.get("dict_size") is not None:
                 raise DataError(f"report compressor dict_size {comp['dict_size']!r}: a "
                                 f"dictionary size is no longer a setting; re-analyse the trace")
+            if not isinstance(trace["name"], str):
+                raise DataError(f"report trace name {trace['name']!r} is not a string")
             return cls(
                 trace_name=trace["name"],
                 entries=_whole(trace["entries"], "report entries"),

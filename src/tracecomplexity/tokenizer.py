@@ -34,7 +34,7 @@ import csv
 import io
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 import numpy as np
 
@@ -261,17 +261,20 @@ def _first_positions(codes: np.ndarray, count: int) -> np.ndarray:
     return first
 
 
-def _fixed_records(piece: str, data: bytes, buf: np.ndarray, delimiter: str,
-                   columns: tuple[int, int], limit: int, vocab: Vocabulary) -> Records | None:
-    """The records of a fixed-layout piece without whitespace in its
-    fields: one whose lines all have the first line's length, delimiters
-    and record end, at the same columns, and whose two kept fields are not
-    empty. None for any other piece, which the scan reads; that one also
-    reports on a blank or short first line or a field past the limit.
+def _fixed_fields(piece: str, word: np.ndarray, buf: np.ndarray, delimiter: str,
+                  columns: tuple[int, int], limit: int
+                  ) -> tuple[np.ndarray, np.ndarray, Callable] | None:
+    """The fields of a fixed-layout piece without whitespace in its fields:
+    one whose lines all have the first line's length, delimiters and record
+    end, at the same columns, and whose two kept fields are not empty. None
+    for any other piece, which the scan reads; that one also reports on a
+    blank or short first line or a field past the limit.
 
-    A kept column's fields all start at one offset of their line, so their
-    words (see ``_words``) are read through a strided view of ``data``, and
-    the IDs of a piece that brings new ones are found by arithmetic.
+    Returns each record's field count, the words (see ``_words``) of its
+    source then destination field, and the rule that maps field numbers to
+    where those fields start and stop. A kept column's fields all start at
+    one offset of their line, so their words are a strided slice of
+    ``word``, which holds the 8 bytes at each offset of the piece.
     """
     line = piece.find("\n") + 1
     if line < 2 or len(piece) % line or line > limit:
@@ -295,29 +298,15 @@ def _fixed_records(piece: str, data: bytes, buf: np.ndarray, delimiter: str,
         return None
     first = np.empty(2 * rows, np.uint64)
     for k, (start, length) in enumerate(zip(starts, lengths)):
-        words = np.ndarray((rows,), "<u8", data, offset=start, strides=(line,))
-        np.bitwise_and(words, _LOW[min(length, 8)], out=first[k::2])
+        np.bitwise_and(word[start::line][:rows], _LOW[min(length, 8)], out=first[k::2])
         first[k::2] |= _TOP[min(length, 8)]
-    widths = np.full(rows, cols.size + 1)
 
     def bounds(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where fields start and stop; field i is column i % 2 of row i // 2."""
         begin = (field >> 1) * line + np.take(starts, field & 1)
         return begin, begin + np.take(lengths, field & 1)
 
-    if max(lengths) < 8:  # the vocabulary knows no longer ID
-        labels = vocab.lookup(first)
-        if labels is not None:
-            return Records(widths, labels, None)
-        codes, count = _string_codes(first)
-    else:
-        begin, end = bounds(np.arange(first.size))
-        word = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # 8 bytes at each offset
-        codes, count = _string_codes(first, word, begin, end - begin)
-    at = _first_positions(codes, count)
-    begin, end = bounds(at)
-    ids = [piece[b:e] for b, e in zip(begin.tolist(), end.tolist())]
-    return Records(widths, codes, ids, None, first[at])
+    return np.full(rows, cols.size + 1), first, bounds
 
 
 def _scanned_fields(text: bytes, buf: np.ndarray, delimiter: str, columns: tuple[int, int],
@@ -359,29 +348,34 @@ def _byte_records(piece: str, delimiter: str, columns: tuple[int, int], limit: i
     text = piece.encode("ascii")
     data = text + _PAD
     buf = np.frombuffer(data, np.uint8)
+    word = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # 8 bytes at each offset
     # Only whitespace other than the delimiter can be in a field to strip.
     spaced = any(c in piece for c in _INNER_SPACE if c != delimiter)
-    if not spaced and (fixed := _fixed_records(piece, data, buf, delimiter, columns, limit,
-                                               vocab)):
-        return fixed
-    widths, starts, stops, error = _scanned_fields(text, buf, delimiter, columns, limit)
-    if spaced:
-        while (lead := (starts < stops) & _SPACE[buf[starts]]).any():
-            starts += lead
-        while (trail := (stops > starts) & _SPACE[buf[stops - 1]]).any():
-            stops -= trail
-    word = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # 8 bytes at each offset
-    lengths = stops - starts
-    first = _words(word, starts, lengths)
+    error = None
+    if spaced or not (fields := _fixed_fields(piece, word, buf, delimiter, columns, limit)):
+        widths, starts, stops, error = _scanned_fields(text, buf, delimiter, columns, limit)
+        if spaced:
+            while (lead := (starts < stops) & _SPACE[buf[starts]]).any():
+                starts += lead
+            while (trail := (stops > starts) & _SPACE[buf[stops - 1]]).any():
+                stops -= trail
+        first = _words(word, starts, stops - starts)
+        fields = widths, first, lambda field: (starts[field], stops[field])
+    widths, first, bounds = fields
     # The vocabulary knows no ID of 8 bytes or more, and a short record's
     # codes would mean nothing; the interning below reports on it.
-    if lengths.max(initial=0) < 8 and widths.min(initial=len(piece)) > max(columns):
-        labels = vocab.lookup(first)
-        if labels is not None:
-            return Records(widths, labels, None, error)
-    codes, count = _string_codes(first, word, starts, lengths)
+    if first.max(initial=0) < _TOP[8]:  # every kept field is under 8 bytes
+        if widths.min(initial=len(piece)) > max(columns):
+            labels = vocab.lookup(first)
+            if labels is not None:
+                return Records(widths, labels, None, error)
+        codes, count = _string_codes(first)
+    else:
+        begin, end = bounds(np.arange(first.size))
+        codes, count = _string_codes(first, word, begin, end - begin)
     at = _first_positions(codes, count)
-    ids = [piece[s:e] for s, e in zip(starts[at].tolist(), stops[at].tolist())]
+    begin, end = bounds(at)
+    ids = [piece[b:e] for b, e in zip(begin.tolist(), end.tolist())]
     return Records(widths, codes, ids, error, first[at])
 
 

@@ -194,8 +194,10 @@ class TestAnalyze:
 
 
 #: Reports that each set one field the reader refuses: a setting that is
-#: gone, or an integer spelled as a bool, a string or a fraction. The name
-#: is the fixture file's; the value replaces the field at the dotted path.
+#: gone, an integer spelled as a bool, a string or a fraction, a name that is
+#: not a string, or a compressed size below 1 byte, past 64 bits or missing.
+#: The name is the fixture file's; the value replaces the field at the dotted
+#: path.
 BAD_REPORT_FIELDS = {
     "report_dict_size": ("compressor.dict_size", 65536),
     "report_level_null": ("compressor.level", None),
@@ -212,6 +214,21 @@ BAD_REPORT_FIELDS = {
     "report_n_ids_string": ("trace.n_ids", "16"),
     "report_source_id_count_bool": ("trace.source_id_count", True),
     "report_dest_id_count_fraction": ("trace.dest_id_count", 3.5),
+    "report_name_number": ("trace.name", 7),
+    "report_c_original_string": ("point.c_original", "x"),
+    "report_c_original_zero": ("point.c_original", 0),
+    "report_c_original_fraction": ("point.c_original", 1.5),
+    "report_c_original_bool": ("point.c_original", True),
+    "report_c_original_huge": ("point.c_original", 10 ** 400),
+    "report_c_shuffled_trials_negative": ("point.c_shuffled_trials", [10, -1]),
+    "report_c_uniform_trials_empty": ("point.c_uniform_trials", []),
+}
+
+#: Reports that each set a field the reader recomputes from the sizes, so
+#: they load as if it were unset.
+RECOMPUTED_REPORT_FIELDS = {
+    "report_temporal_string": ("point.temporal", "x"),
+    "report_temporal_null": ("point.temporal", None),
 }
 
 # Bad inputs, each of which ends in an exit code and one stderr line. The
@@ -252,6 +269,7 @@ BAD_INPUTS = [
     (["analyze", "{tiny}", "--dict-size", "1"], 1),
     (["analyze", "{tiny}", "--compressor", "deflate", "--dict-size", "65536"], 1),
     *[(["map", "{%s}" % name, "--output", "{out}"], 2) for name in BAD_REPORT_FIELDS],
+    *[(["map", "{%s}" % name, "--output", "{out}"], 0) for name in RECOMPUTED_REPORT_FIELDS],
 ]
 
 
@@ -262,7 +280,7 @@ def bad_inputs(tmp_path, report_file):
               "list_report", "spec_by_path", "spec_nan", "spec_negative_id",
               "spec_id_past_n", "spec_negative_seed", "spec_negative_stream",
               "spec_repeat_p_2", "spec_length_0", "spec_string_length", "spec_string_cell",
-              "zstd_report", "out", *BAD_REPORT_FIELDS)}
+              "zstd_report", "out", *BAD_REPORT_FIELDS, *RECOMPUTED_REPORT_FIELDS)}
     files["tiny"].write_text("a,b\nb,a\nc,d\n")
     files["header"].write_text("src,dst\na,b\nb,a\n")
     files["huge_id"].write_text("a,b\n" + "c" * 200_000 + ",d\n")
@@ -295,7 +313,7 @@ def bad_inputs(tmp_path, report_file):
              "matrix": {"cells": [cell], "n": 1}}))
     files["zstd_report"].write_text(json.dumps(
         {**json.loads(report_file.read_text()), "compressor": {"name": "zstd", "level": 99}}))
-    for name, (field, value) in BAD_REPORT_FIELDS.items():
+    for name, (field, value) in {**BAD_REPORT_FIELDS, **RECOMPUTED_REPORT_FIELDS}.items():
         doc = json.loads(report_file.read_text())
         *parents, key = field.split(".")
         owner = doc
@@ -349,6 +367,15 @@ def test_report_with_null_dict_size_loads(report_file, tmp_path):
     assert load_report(old).compressor == load_report(report_file).compressor
 
 
+def test_loaded_point_states_the_stored_block(report_file):
+    """A report's ratios and means are recomputed on load, and they are
+    the ones it wrote."""
+    doc = json.loads(report_file.read_text())
+    report = load_report(report_file)
+    assert report.point.as_dict() == doc["point"]
+    assert {k: v.as_dict() for k, v in report.slices.items()} == doc["slices"]
+
+
 def test_oversized_field_names_line(bad_inputs, capsys):
     assert main(["analyze", bad_inputs["huge_id"]]) == 2
     assert "line 2: field larger than field limit" in capsys.readouterr().err
@@ -379,6 +406,15 @@ class TestMapCommand:
         assert float(t) == point.temporal
         assert float(nt) == point.non_temporal
         assert float(o) == point.overall
+
+    def test_hand_edited_ratio_not_drawn(self, report_file, tmp_path):
+        doc = json.loads(report_file.read_text())
+        doc["point"]["temporal"] = 0.123
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        assert main(["map", str(edited), "--output", str(tmp_path / "m.svg")]) == 0
+        _, t, _, _ = (tmp_path / "m.csv").read_text().splitlines()[1].split(",")
+        assert float(t) == load_report(report_file).point.temporal != 0.123
 
     def test_slices_add_points(self, report_file, tmp_path):
         svg = tmp_path / "s.svg"

@@ -166,6 +166,8 @@ class TestDefaultCompressor:
         {"name": "LZMA"},
         {"name": "deflate", "level": 10},
         {"name": "deflate", "level": -1},
+        {"level": 6.5},
+        {"level": True},
     ])
     def test_invalid_settings_rejected(self, kwargs):
         # the handle checks its settings, given or filled in
@@ -178,17 +180,21 @@ class TestDefaultCompressor:
 
 class TestComplexityPoint:
     def test_dict_round_trip(self):
-        pt = ComplexityPoint(temporal=0.5, non_temporal=0.4, overall=0.2,
-                             c_original=100, c_shuffled_trials=(200, 201),
+        pt = ComplexityPoint(c_original=100, c_shuffled_trials=(200, 201),
                              c_uniform_trials=(500, 499),
                              uniform_mode="pair", warnings=("w",))
         assert ComplexityPoint.from_dict(pt.as_dict()) == pt
 
     def test_trial_means(self):
-        pt = ComplexityPoint(temporal=1, non_temporal=1, overall=1, c_original=1,
-                             c_shuffled_trials=(10, 20), c_uniform_trials=(30, 50))
+        pt = ComplexityPoint(c_original=1, c_shuffled_trials=(10, 20), c_uniform_trials=(30, 50))
         assert pt.c_shuffled_mean == 15.0
         assert pt.c_uniform_mean == 40.0
+
+    def test_ratios_are_the_sizes(self):
+        pt = ComplexityPoint(c_original=6, c_shuffled_trials=(10, 20), c_uniform_trials=(30, 50))
+        assert pt.temporal == 6 / 15.0
+        assert pt.non_temporal == 15.0 / 40.0
+        assert pt.overall == pt.temporal * pt.non_temporal
 
 
 class TestTraceComplexity:
@@ -311,10 +317,13 @@ def oracle_trace_complexity(trace: Trace, compressor: CompressorHandle, trials: 
             warnings.append(
                 f"{label} ratio {value:.4f} exceeds 1 (compressor noise); "
                 f"raw value reported")
-    return ComplexityPoint(temporal=temporal, non_temporal=non_temporal, overall=overall,
-                           c_original=c_original, c_shuffled_trials=tuple(c_shuffled),
-                           c_uniform_trials=tuple(c_uniform), uniform_mode=mode,
-                           warnings=tuple(warnings))
+    point = ComplexityPoint(c_original=c_original, c_shuffled_trials=tuple(c_shuffled),
+                            c_uniform_trials=tuple(c_uniform), uniform_mode=mode,
+                            warnings=tuple(warnings))
+    # the point's properties are the one formula; this loop keeps its own
+    assert (point.temporal, point.non_temporal, point.overall) == \
+        (temporal, non_temporal, overall)
+    return point
 
 
 def _skewed_bursty_trace() -> Trace:

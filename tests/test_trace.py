@@ -291,6 +291,20 @@ class TestAgainstCsvLoop:
         with pytest.raises(TraceParseError, match=f"line {line}: field larger than field limit"):
             parse_str(fits + "c,d\n" + "e" * (limit + 1) + ",f\n")
 
+    def test_field_limit_in_quoted_piece(self):
+        """csv.reader meets the oversized field of a quoted piece, and its
+        error ends the records: the piece after it is not read."""
+        limit = csv.field_size_limit()
+        text = '"q",r\na,b\n' + "e" * (limit + 1) + ",f\n"
+        message = f"field larger than field limit ({limit})"
+        with mock.patch.object(tokenizer, "_CHUNK", len(text)):  # one piece
+            got = outcome(parse_trace, text, CsvFormat())
+            runs = list(tokenizer.records(io.StringIO(text + "g,h\n", newline=""), ",",
+                                          (0, 1), tokenizer.Vocabulary()))
+        assert got == outcome(oracle_parse, text, CsvFormat())
+        assert got[:2] == (TraceParseError, f"line 3: {message}")
+        assert [(run.widths.tolist(), run.error) for run in runs] == [([2, 2], message)]
+
     def test_negative_column_rejected(self):
         with pytest.raises(ValueError):
             CsvFormat(source_column=-1)
@@ -401,6 +415,26 @@ class TestReadingPaths:
             pieces, _ = self.pieces_with_new_ids(path)
         assert got == outcome(oracle_parse, path.read_text(), CsvFormat())
         assert interned == pieces > 20
+
+    def test_words_sharing_a_home_slot(self, tmp_path):
+        """With a multiplier of 1 every word of one length has the same home
+        slot, so a lookup walks one probe chain as long as the IDs are many."""
+        rng = np.random.default_rng(7)
+        path = tmp_path / "t.csv"
+        path.write_text("".join(f"{s},{d}\n" for s, d in rng.integers(10, 50, (40_000, 2))))
+        real = tokenizer.Vocabulary.lookup
+        looked_up = []
+
+        def lookup(vocab, words):
+            labels = real(vocab, words)
+            looked_up.append((vocab._probes, labels is not None))
+            return labels
+        with mock.patch.object(tokenizer, "_MULTIPLIER", np.uint64(1)), \
+                mock.patch.object(tokenizer.Vocabulary, "lookup", lookup):
+            got, interned, scanned = self.parse_counting(path)
+        assert looked_up == [(1, False), (40, True), (40, True), (40, True)]
+        assert (interned, scanned) == (1, 0)
+        assert got == outcome(oracle_parse, path.read_text(), CsvFormat())
 
     @pytest.mark.parametrize("text", [
         "ab,c\r\nab,cd\n",    # one length, but another record end
