@@ -3,7 +3,8 @@
 For each case at 20k entries the file holds the sha256 of the original
 buffer and of the trial-0 shuffled and uniform buffers, every trial's
 compressed size, T and NT as ``repr``, and the sha256 of what
-``write_trace`` and ``write_spec`` write. A change that moves any of them
+``write_trace`` and ``write_spec`` write. For a few traces it also holds the
+sha256 of the dense CSV and the log-scale SVG heatmap that ``matrix`` writes. A change that moves any of them
 fails here, so a change meant to keep the measurement shows that it did.
 A change meant to move it re-records the file, and the file's diff shows
 which points moved and by how much:
@@ -27,11 +28,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import flow_like_trace, two_level_burst_trace
+from conftest import flow_like_trace, tiny, two_level_burst_trace
 from tracecomplexity import (CompressorHandle, RngSeed, complexity_of_slices, encode_canonical,
                              generate, reference_presets, resample_uniform, slice_column,
                              spec_from_trace, temporal_shuffle, trace_complexity, write_spec,
                              write_trace)
+from tracecomplexity.cli import main
 
 PINNED = Path(__file__).with_name("pinned_measurement.json")
 LENGTH = 20_000
@@ -110,6 +112,29 @@ CASES = {
 }
 
 
+def _matrix_output(trace) -> dict:
+    """The sha256 of what ``matrix --svg --log-scale`` writes for ``trace``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / name for name in ("trace.csv", "dense.csv", "heatmap.svg")}
+        write_trace(trace, paths["trace.csv"])
+        assert main(["matrix", str(paths["trace.csv"]), "--output", str(paths["dense.csv"]),
+                     "--svg", str(paths["heatmap.svg"]), "--log-scale"]) == 0
+        return {"dense_csv": _sha(paths["dense.csv"].read_bytes()),
+                "svg_log_scale": _sha(paths["heatmap.svg"].read_bytes())}
+
+
+def _preset_trace(name: str, n: int):
+    return generate(reference_presets(n_ids=n, length=LENGTH, seed=SEED)[name])
+
+
+MATRIX_CASES = {
+    "skewed-n16": lambda: _preset_trace("skewed", 16),
+    "skewed_bursty-n256": lambda: _preset_trace("skewed_bursty", 256),
+    "flow-like-240-ids": lambda: flow_like_trace(LENGTH, seed=1, clients=200),
+    "single-id": lambda: tiny([(0, 0)] * 3),
+}
+
+
 def _versions() -> dict:
     return {"zlib": zlib.ZLIB_RUNTIME_VERSION, "numpy": np.__version__}
 
@@ -128,11 +153,19 @@ def test_measurement_is_pinned(pinned, case):
         f"{running['numpy']}")
 
 
+@pytest.mark.parametrize("case", sorted(MATRIX_CASES))
+def test_matrix_output_is_pinned(pinned, case):
+    assert _matrix_output(MATRIX_CASES[case]()) == pinned["matrix"].get(case), (
+        f"matrix output of {case} differs from {PINNED.name}")
+
+
 def test_every_pinned_case_is_measured(pinned):
     assert sorted(pinned["cases"]) == sorted(CASES)
+    assert sorted(pinned["matrix"]) == sorted(MATRIX_CASES)
 
 
 if __name__ == "__main__":
-    doc = {"versions": _versions(), "cases": {name: CASES[name]() for name in sorted(CASES)}}
+    doc = {"versions": _versions(), "cases": {name: CASES[name]() for name in sorted(CASES)},
+           "matrix": {name: _matrix_output(MATRIX_CASES[name]()) for name in sorted(MATRIX_CASES)}}
     PINNED.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {len(CASES)} cases in {PINNED}", file=sys.stderr)
