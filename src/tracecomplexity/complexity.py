@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .trace import Trace, encode_canonical, slice_column
-from .transforms import RngSeed, default_uniform_mode, resample_uniform, temporal_shuffle
+from .transforms import (UNIFORM_MODES, RngSeed, default_uniform_mode, resample_uniform,
+                         temporal_shuffle)
 
 #: Traces shorter than this get a warning: constant compression overhead
 #: is no longer negligible against the payload.
@@ -208,12 +209,17 @@ class ComplexityPoint:
     def from_dict(cls, d: dict) -> "ComplexityPoint":
         """The point of an ``as_dict`` block, read from its sizes: the
         ratios and means written beside them are recomputed, not read."""
+        mode, warnings = d["uniform_mode"], d["warnings"]
+        if mode not in UNIFORM_MODES:
+            raise DataError(f"point uniform_mode {mode!r} is not one of {UNIFORM_MODES}")
+        if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
+            raise DataError(f"point warnings {warnings!r} is not a list of strings")
         return cls(
             c_original=_sizes([d["c_original"]], "point c_original")[0],
             c_shuffled_trials=_sizes(d["c_shuffled_trials"], "point c_shuffled_trials"),
             c_uniform_trials=_sizes(d["c_uniform_trials"], "point c_uniform_trials"),
-            uniform_mode=d["uniform_mode"],
-            warnings=tuple(d["warnings"]),
+            uniform_mode=mode,
+            warnings=tuple(warnings),
         )
 
 

@@ -8,7 +8,6 @@ exponent and repeat probability, solved by bisection).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -78,13 +77,15 @@ class TrafficMatrix:
                 for s, d, p in zip(self.sources, self.dests, self.probs)}
 
     def write_dense_csv(self, path) -> np.ndarray:
-        """Dense n-by-n grid export for heatmap plotting; returns the grid,
-        so a caller that also draws it need not build it again."""
+        """Dense n-by-n grid of each cell's ``repr``, as csv.writer writes it;
+        returns the grid, so a caller that also draws it need not build it again."""
         dense = self.to_dense()
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
             for row in dense:
-                w.writerow(map(repr, row.tolist()))
+                # Each value is spelled once, told apart by its bits: -0.0 is not 0.0.
+                bits, at = np.unique(row.view(np.uint64), return_inverse=True)
+                spelled = [repr(value) for value in bits.view(np.float64).tolist()]
+                fh.write(",".join([spelled[i] for i in at.tolist()]) + "\r\n")
         return dense
 
 

@@ -2,30 +2,19 @@
 
 The text is read in pieces of about ``_CHUNK`` characters, each ending at a
 record end. A piece of ASCII text without quotes or lone carriage returns
-is read from its bytes, with vectorized operations:
-
-* Its fields are found. A fixed-layout piece, whose lines all have the
-  first line's length and its delimiters at the same columns, and whose
-  kept fields are neither empty nor hold whitespace, is read off its first
-  line: each kept column starts at one offset of every line, so the words
-  of its fields (see ``_words``) are one strided view of the bytes. The
-  files ``write_trace`` writes are such pieces. Any other piece, a
-  fixed-width log padded with spaces among them, is scanned for every
-  delimiter and line end, and its fields are stripped.
-* The two kept fields of each record are looked up in the file's
-  ``Vocabulary``, which knows every ID of 1 to 7 bytes met so far by the
-  64-bit word that spells it. If every record is complete and every kept
-  field is known, the piece's labels are one gather.
-* Otherwise (a new ID, an ID of 8 bytes or more, an empty field, a short
-  record) the fields are interned: equal strings get equal codes, numbered
-  for the piece alone, and ``Vocabulary.relabel`` maps those codes to
-  labels, learning the new IDs. The first 7 bytes of each field tell its
-  ID apart from all IDs of at most 7 bytes; only longer IDs read further.
+is read from its bytes, with vectorized operations. A fixed-layout piece,
+whose lines all have the first line's length and delimiters, and whose kept
+fields are neither empty nor hold whitespace, is read off its first line,
+as the files ``write_trace`` writes are; any other piece is scanned for
+every delimiter and line end, and its fields are stripped. Past the header
+rows (``skip_rows``), every kept field is looked up by its key (see
+``_words``) in the file's ``Vocabulary``, and only those it does not know
+are read as text and labelled through its mapping, in record order.
 
 A piece with quoting, lone carriage returns or non-ASCII text, which the
 byte reading cannot reproduce exactly, goes to csv.reader instead. That
 hands the stream back at the first piece end where a record ends, and its
-records are interned and relabelled alike.
+records are labelled through the same mapping.
 """
 
 from __future__ import annotations
@@ -44,11 +33,16 @@ from .errors import TraceParseError
 #: Characters read per step. Every working array of the byte tokenizer is
 #: sized by one step, so memory stays bounded whatever the file size.
 _CHUNK = 1 << 16
-#: Records the csv fallback reads before checking and relabelling them.
+#: Records the csv fallback reads before checking and labelling them.
 _CSV_BATCH = 1 << 16
-#: Appended to every byte buffer: a word can be read at any field start, and
+#: The words (see ``_words``) that key a field in the vocabulary, which
+#: spell an ID of at most 7 bytes each whole. Three hold a dotted IPv4
+#: address (7 to 15 bytes), a MAC address (17) and an IPv4 address with a
+#: port (up to 21); each word costs a gather and a compare per field.
+_KEY_WORDS = 3
+#: Appended to every byte buffer: a key can be read at any field start, and
 #: the byte before offset 0 (index -1) is a newline, not a carriage return.
-_PAD = b"\n" * 8
+_PAD = b"\n" * (7 * _KEY_WORDS + 1)
 _NL, _CR = ord("\n"), ord("\r")
 #: The ASCII characters str.strip() removes; only ASCII bytes are looked up.
 _SPACE = np.array([chr(c).isspace() for c in range(128)])
@@ -62,107 +56,139 @@ _TOP = np.array([k << 56 for k in range(9)], dtype=np.uint64)
 _MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 #: A word no field has: a word's top byte is a count of at most 8.
 _NO_WORD = np.uint64(2 ** 64 - 1)
+#: Unknown fields of a piece read and learned before the others are looked
+#: up again.
+_FEW_MISSES = 1 << 10
 #: IDs a vocabulary learns at most, so its table stays below 1 MB. A file
-#: with more IDs brings new ones in most pieces, which are interned anyway.
+#: with more IDs brings new ones in most pieces, which are read as text.
 _VOCABULARY_LIMIT = 1 << 14
 
 
 @dataclass(frozen=True)
 class Records:
-    """A run of consecutive records, reduced to their two ID fields.
-
-    ``codes`` gives each record's source then destination ID as an index
-    into ``ids``, the distinct IDs of the run stripped of whitespace; codes
-    mean nothing for a record with too few fields. If ``ids`` is None, the
-    vocabulary knew every field and the codes are canonical labels.
-    ``words`` holds the word of each of ``ids`` (see ``_words``), or is None
-    if the run was not read from bytes. ``error`` is why the record after
-    the last one here could not be read.
-    """
+    """A run of records, reduced to each one's source then destination
+    label (meaningless for a record with too few fields), after ``skipped``
+    header records. ``error`` is why the record after the run could not be
+    read."""
 
     widths: np.ndarray   # fields per record
-    codes: np.ndarray
-    ids: list[str] | None
+    labels: np.ndarray
     error: str | None = None
-    words: np.ndarray | None = None
+    skipped: int = 0
 
 
 class Vocabulary:
     """The IDs of one file met so far, each with its canonical label: the
     IDs numbered in order of first occurrence.
 
-    ``mapping`` holds every ID. Those of 1 to 7 bytes are also found by
-    their word (see ``_words``) in a multiply-shift hash table with linear
-    probing. ``_slots`` holds labels, -1 where empty, and a slot's label is
-    a hit only if ``_word_of`` that label is the word looked up. The table
-    keeps at least three slots in four empty; at 256 IDs it is 8 or 16 KB,
-    and it never holds more than ``_VOCABULARY_LIMIT`` words.
+    ``mapping`` holds every ID. Up to ``_VOCABULARY_LIMIT`` IDs of at most
+    ``7 * _KEY_WORDS`` bytes are also found by their key (see ``_words``) in
+    a multiply-shift hash table with linear probing. ``_slots`` holds labels,
+    -1 where empty, and a slot's label is a hit only if ``_key_of`` that
+    label is the key looked up. The table keeps at least three slots in four
+    empty; at 256 IDs it is 8 or 16 KB.
     """
 
     def __init__(self) -> None:
         self.mapping: dict[str, int] = {}
         self._slots = np.full(16, -1, np.int32)
-        # Each label's word, _NO_WORD if it has none; the last entry is
-        # always unused, so an empty slot (-1) finds _NO_WORD.
-        self._word_of = np.full(16, _NO_WORD)
+        # Each label's key, a row per word, _NO_WORD if it has none; the
+        # last column is always unused, so an empty slot (-1) finds _NO_WORD.
+        self._key_of = np.full((_KEY_WORDS, 16), _NO_WORD)
         self._stored = 0
-        self._probes = 1  # slots a stored word may be looked for in
+        self._probes = 1  # slots a stored key may be looked for in
 
-    def _home(self, words: np.ndarray) -> np.ndarray:
-        """Each word's first slot: the top bits of its product with the multiplier."""
+    def _home(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's first slot: the top bits of the product with the
+        multiplier of its words weighted by the multiplier's powers. A word
+        past an ID's end is 0 and adds nothing, so a key hashes alike
+        however many of its words are read."""
         bits = self._slots.size.bit_length() - 1
-        home = words * _MULTIPLIER
+        home = keys[-1]
+        for words in keys[-2::-1]:
+            home = home * _MULTIPLIER
+            home += words
+        home = home * _MULTIPLIER
         home >>= np.uint64(64 - bits)
         return home.view(np.int64)
 
-    def lookup(self, words: np.ndarray) -> np.ndarray | None:
-        """The labels of ``words``, or None if any of them is unknown."""
-        home = self._home(words)
+    def _differs(self, labels: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Whether each label's key differs from its column of ``keys``. An
+        ID that ends within the words read has a last word that says so, so
+        a stored key equal to its key on those words is its ID's."""
+        return (self._key_of[:len(keys)].take(labels, axis=1) != keys).any(axis=0)
+
+    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The label of each column of ``keys``, -1 where it is unknown, and
+        the columns where it is."""
+        home = self._home(keys)
         labels = self._slots.take(home)
-        missed = np.flatnonzero(self._word_of.take(labels) != words)
+        missed = probing = np.flatnonzero(self._differs(labels, keys))
         step = 1
-        # A word not found before an empty slot is not stored.
-        while missed.size and step < self._probes and labels[missed].min() >= 0:
-            found = self._slots.take((home[missed] + step) % self._slots.size)
-            labels[missed] = found
-            missed = missed[self._word_of.take(found) != words[missed]]
+        while probing.size and step < self._probes:
+            # A key not found before an empty slot is not stored.
+            probing = probing[labels[probing] >= 0]
+            found = self._slots.take((home[probing] + step) % self._slots.size)
+            labels[probing] = found
+            probing = probing[self._differs(found, keys[:, probing])]
             step += 1
-        return None if missed.size else labels
+        labels[probing] = -1
+        return labels, missed[labels[missed] < 0]
 
-    def relabel(self, codes: np.ndarray, ids: list[str], words: np.ndarray | None) -> np.ndarray:
-        """Canonical labels of fields whose codes index ``ids``; ``words``
-        holds the word of each of ``ids``, or is None.
+    def labels(self, keys: np.ndarray, text: Callable[[np.ndarray], list[str]]) -> np.ndarray:
+        """The labels of fields by their keys, one column each, in record
+        order; ``text`` gives the IDs of the fields whose numbers it is given.
 
-        New IDs are numbered in first-occurrence order. Each ID of 1 to 7
-        bytes seen here is learned, if it was not known by its word yet.
+        Only fields the table does not know are read as text, and labelled
+        through ``mapping``. Equal keys that spell their ID whole (see
+        ``_words``) are read once and learned; a longer ID is read at each.
         """
-        first = _first_positions(codes, len(ids))
-        seen = np.argsort(first)[:np.count_nonzero(first < codes.size)]
-        labels = np.empty(len(ids), np.int32)  # half the memory of int64 until the codes are formed
-        labels[seen] = [self.mapping.setdefault(ids[c], len(self.mapping)) for c in seen.tolist()]
-        if words is not None and self._stored < _VOCABULARY_LIMIT:
-            if len(self.mapping) >= self._word_of.size:
-                grown = np.full(2 * len(self.mapping), _NO_WORD)
-                grown[:self._word_of.size] = self._word_of
-                self._word_of = grown
-            words = words[seen]
-            learn = (words >> np.uint64(56)) - np.uint64(1) < 7  # the IDs of 1 to 7 bytes
-            learn &= self._word_of[labels[seen]] != words
-            if learn.any():
-                room = _VOCABULARY_LIMIT - self._stored
-                self._learn(labels[seen[learn]][:room], words[learn][:room])
-        return labels[codes]
+        if self._stored:
+            labels, missed = self.lookup(keys)
+        else:
+            labels, missed = np.full(keys.shape[1], -1, np.int32), np.arange(keys.shape[1])
+        while missed.size:
+            # Many unknown fields mostly repeat a few new IDs: learn those of
+            # the first ones, then look the others up again.
+            fields, missed = missed[:_FEW_MISSES], missed[_FEW_MISSES:]
+            known = keys[:, fields]
+            whole = known[-1] < _TOP[8]
+            # Equal whole keys sort together, in field order: lexsort is stable.
+            order = np.flatnonzero(whole)
+            order = order[np.lexsort(known[::-1, order])]
+            run = np.ones(order.size, bool)
+            run[1:] = (known[:, order[1:]] != known[:, order[:-1]]).any(axis=0)
+            first = order[run]
+            read = np.sort(np.concatenate((first, np.flatnonzero(~whole))))
+            found = np.empty(fields.size, np.int32)
+            found[read] = [self.mapping.setdefault(i, len(self.mapping))
+                           for i in text(fields[read])]
+            found[order] = found[first][np.cumsum(run) - 1]
+            labels[fields] = found
+            learn = np.sort(first)[:_VOCABULARY_LIMIT - self._stored]
+            self._learn(found[learn], known[:, learn])
+            if learn.size and missed.size:
+                labels[missed], unknown = self.lookup(keys[:, missed])
+                missed = missed[unknown]
+        return labels
 
-    def _learn(self, labels: np.ndarray, words: np.ndarray) -> None:
-        """Store the words of new labels, rebuilding the table larger once
-        a quarter of its slots is taken."""
-        self._word_of[labels] = words
+    def _learn(self, labels: np.ndarray, keys: np.ndarray) -> None:
+        """Store the keys of labels not stored yet, rebuilding the table
+        larger once a quarter of its slots is taken."""
+        if len(self.mapping) >= self._key_of.shape[1]:
+            grown = np.full((_KEY_WORDS, 2 * len(self.mapping)), _NO_WORD)
+            grown[:, :self._key_of.shape[1]] = self._key_of
+            self._key_of = grown
+        self._key_of[:len(keys), labels] = keys
+        self._key_of[len(keys):, labels] = 0  # the words past those read
         self._stored += labels.size
         if 4 * self._stored > self._slots.size:  # keep three slots in four empty
-            self._slots = np.full(1 << (8 * self._stored).bit_length(), -1, np.int32)
+            # 16 per key: a first piece's keys, learned in two calls, then
+            # sit off their first slot as seldom as if learned in one.
+            self._slots = np.full(1 << (16 * self._stored - 1).bit_length(), -1, np.int32)
             self._probes = 1
-            labels = np.flatnonzero(self._word_of != _NO_WORD).astype(np.int32)
-        home = self._home(self._word_of[labels])
+            labels = np.flatnonzero(self._key_of[0] != _NO_WORD).astype(np.int32)
+        home = self._home(self._key_of[:, labels])
         step = 0
         while labels.size:
             # Each free slot takes the first of the labels probing it; the
@@ -207,58 +233,25 @@ def _byte_tokenizable(piece: str, delimiter: str) -> bool:
             and len(delimiter) == 1 and delimiter.isascii() and delimiter not in '"\r\n')
 
 
-def _dense(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each value's rank among the distinct values, and how many there are."""
-    # np.unique hashes since numpy 2.3, several times slower than this sort here
-    distinct = np.sort(values)
-    keep = np.ones(distinct.size, bool)
-    np.not_equal(distinct[1:], distinct[:-1], out=keep[1:])
-    distinct = distinct[keep]
-    return np.searchsorted(distinct, values), distinct.size
-
-
-def _words(word: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-           offset: int = 0) -> np.ndarray:
-    """The word of each string data[s:s+n] at ``offset``: its next 7 bytes,
-    topped by a byte saying how many bytes were left (at most 8), so "4"
-    and "4\\x00" differ. ``word`` holds the 8 bytes at each offset of data.
-
-    The word at offset 0 spells a string of at most 7 bytes whole.
+def _words(word: np.ndarray, starts: np.ndarray, lengths: np.ndarray, depth: int) -> np.ndarray:
+    """The key of each string data[s:s+n]: its first ``depth`` words, one
+    row each. Word j holds the string's bytes 7j to 7j+6, topped by a byte
+    saying how many it has from 7j on (at most 8), so "4" and "4\\x00"
+    differ, and is 0 past its end. The key spells a string of at most
+    7·depth bytes whole: its last word's top byte is under 8. ``word`` holds
+    the 8 bytes at each offset of data.
     """
-    left = np.minimum(lengths - offset if offset else lengths, 8)
-    words = word.take(starts + offset if offset else starts)
-    words &= _LOW.take(left)
-    words |= _TOP.take(left)
-    return words
+    offsets = 7 * np.arange(depth)[:, None]
+    left = np.clip(lengths - offsets, 0, 8)
+    keys = word.take(starts + offsets)
+    keys &= _LOW.take(left)
+    keys |= _TOP.take(left)
+    return keys
 
 
-def _string_codes(first: np.ndarray, word: np.ndarray | None = None,
-                  starts: np.ndarray | None = None,
-                  lengths: np.ndarray | None = None) -> tuple[np.ndarray, int]:
-    """Codes 0..count-1 for strings, equal where the strings are.
-
-    ``first`` holds their words at offset 0 (see ``_words``), which give
-    the codes, and tell apart all strings of at most 7 bytes. Longer ones
-    are data[s:s+n] for their ``starts`` and ``lengths``, read through
-    ``word``: each later word splits the codes of the strings that reach it
-    into new ones, so the work grows with the bytes read.
-    """
-    code, count = _dense(first)
-    longest = 0 if lengths is None else int(lengths.max(initial=0))
-    for offset in range(7, longest, 7):
-        at = np.flatnonzero(lengths > offset)
-        rank, n = _dense(_words(word, starts[at], lengths[at], offset))
-        split, m = _dense(code[at] * n + rank)
-        code[at] = count + split
-        count += m
-    return _dense(code) if longest > 7 else (code, count)
-
-
-def _first_positions(codes: np.ndarray, count: int) -> np.ndarray:
-    """Where each code first occurs in ``codes``; ``codes.size`` if nowhere."""
-    first = np.full(count, codes.size)
-    np.minimum.at(first, codes, np.arange(codes.size))
-    return first
+def _depth(longest: int) -> int:
+    """The words that spell a string of ``longest`` bytes, 1 to _KEY_WORDS."""
+    return min(max(1, -(-longest // 7)), _KEY_WORDS)
 
 
 def _fixed_fields(piece: str, word: np.ndarray, buf: np.ndarray, delimiter: str,
@@ -270,11 +263,11 @@ def _fixed_fields(piece: str, word: np.ndarray, buf: np.ndarray, delimiter: str,
     for any other piece, which the scan reads; that one also reports on a
     blank or short first line or a field past the limit.
 
-    Returns each record's field count, the words (see ``_words``) of its
+    Returns each record's field count, the keys (see ``_words``) of its
     source then destination field, and the rule that maps field numbers to
     where those fields start and stop. A kept column's fields all start at
-    one offset of their line, so their words are a strided slice of
-    ``word``, which holds the 8 bytes at each offset of the piece.
+    one offset of their line, so each word of their keys is a strided slice
+    of ``word``, which holds the 8 bytes at each offset of the piece.
     """
     line = piece.find("\n") + 1
     if line < 2 or len(piece) % line or line > limit:
@@ -296,17 +289,19 @@ def _fixed_fields(piece: str, word: np.ndarray, buf: np.ndarray, delimiter: str,
     lengths = [ends[column] - opens[column] for column in columns]
     if min(lengths) == 0:
         return None
-    first = np.empty(2 * rows, np.uint64)
+    keys = np.zeros((_depth(max(lengths)), 2 * rows), np.uint64)
     for k, (start, length) in enumerate(zip(starts, lengths)):
-        np.bitwise_and(word[start::line][:rows], _LOW[min(length, 8)], out=first[k::2])
-        first[k::2] |= _TOP[min(length, 8)]
+        for j, out in enumerate(keys[:_depth(length), k::2]):
+            left = min(length - 7 * j, 8)
+            np.bitwise_and(word[start + 7 * j::line][:rows], _LOW[left], out=out)
+            out |= _TOP[left]
 
     def bounds(field: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Where fields start and stop; field i is column i % 2 of row i // 2."""
         begin = (field >> 1) * line + np.take(starts, field & 1)
         return begin, begin + np.take(lengths, field & 1)
 
-    return np.full(rows, cols.size + 1), first, bounds
+    return np.full(rows, cols.size + 1), keys, bounds
 
 
 def _scanned_fields(text: bytes, buf: np.ndarray, delimiter: str, columns: tuple[int, int],
@@ -343,8 +338,9 @@ def _scanned_fields(text: bytes, buf: np.ndarray, delimiter: str, columns: tuple
 
 
 def _byte_records(piece: str, delimiter: str, columns: tuple[int, int], limit: int,
-                  vocab: Vocabulary) -> Records:
-    """Tokenize an ASCII piece with vectorized operations over its bytes."""
+                  vocab: Vocabulary, skip: int) -> Records:
+    """Tokenize an ASCII piece with vectorized operations over its bytes,
+    dropping up to ``skip`` header records first."""
     text = piece.encode("ascii")
     data = text + _PAD
     buf = np.frombuffer(data, np.uint8)
@@ -359,49 +355,48 @@ def _byte_records(piece: str, delimiter: str, columns: tuple[int, int], limit: i
                 starts += lead
             while (trail := (stops > starts) & _SPACE[buf[stops - 1]]).any():
                 stops -= trail
-        first = _words(word, starts, stops - starts)
-        fields = widths, first, lambda field: (starts[field], stops[field])
-    widths, first, bounds = fields
-    # The vocabulary knows no ID of 8 bytes or more, and a short record's
-    # codes would mean nothing; the interning below reports on it.
-    if first.max(initial=0) < _TOP[8]:  # every kept field is under 8 bytes
-        if widths.min(initial=len(piece)) > max(columns):
-            labels = vocab.lookup(first)
-            if labels is not None:
-                return Records(widths, labels, None, error)
-        codes, count = _string_codes(first)
-    else:
-        begin, end = bounds(np.arange(first.size))
-        codes, count = _string_codes(first, word, begin, end - begin)
-    at = _first_positions(codes, count)
-    begin, end = bounds(at)
-    ids = [piece[b:e] for b, e in zip(begin.tolist(), end.tolist())]
-    return Records(widths, codes, ids, error, first[at])
+        lengths = stops - starts
+        keys = _words(word, starts, lengths, _depth(int(lengths.max(initial=0))))
+        fields = widths, keys, lambda field: (starts[field], stops[field])
+    widths, keys, bounds = fields
+    drop = min(skip, widths.size)
+
+    def ids(field: np.ndarray) -> list[str]:
+        begin, end = bounds(field + 2 * drop)
+        return [piece[b:e] for b, e in zip(begin.tolist(), end.tolist())]
+    return Records(widths[drop:], vocab.labels(keys[:, 2 * drop:], ids), error, drop)
 
 
-def _csv_records(rows: Iterator[list[str]], columns: tuple[int, int]) -> Iterator[Records]:
-    """Batches of rows from csv.reader, in the byte tokenizer's form."""
+def _csv_records(rows: Iterator[list[str]], columns: tuple[int, int], vocab: Vocabulary,
+                 skip: int) -> Iterator[Records]:
+    """Batches of rows from csv.reader, labelled through ``vocab``'s
+    mapping, after up to ``skip`` header rows."""
     source, dest = columns
     needed = max(columns) + 1
+    mapping = vocab.mapping
     while True:
-        ids: dict[str, int] = {}
         widths: list[int] = []
-        codes: list[int] = []
+        labels: list[int] = []
         error = None
+        skipped = 0
         try:
             for row in islice(rows, _CSV_BATCH):
-                widths.append(len(row))
-                if len(row) < needed:  # the width check rejects the codes
-                    codes += (0, 0)
+                if skipped < skip:
+                    skipped += 1
                     continue
-                codes.append(ids.setdefault(row[source].strip(), len(ids)))
-                codes.append(ids.setdefault(row[dest].strip(), len(ids)))
+                widths.append(len(row))
+                if len(row) < needed:  # the width check rejects the labels
+                    labels += (0, 0)
+                    continue
+                labels.append(mapping.setdefault(row[source].strip(), len(mapping)))
+                labels.append(mapping.setdefault(row[dest].strip(), len(mapping)))
         except csv.Error as e:
             error = str(e)
-        if not widths and error is None:
+        if not (widths or skipped) and error is None:
             return
-        yield Records(np.array(widths, dtype=np.int64), np.array(codes, dtype=np.int64),
-                       list(ids), error)
+        skip -= skipped
+        yield Records(np.array(widths, dtype=np.int64), np.array(labels, dtype=np.int32),
+                      error, skipped)
         if error is not None:
             return
 
@@ -431,34 +426,35 @@ def _csv_rows(first: str, pieces: Iterator[str], delimiter: str) -> Iterator[lis
             return
 
 
-def records(stream: IO, delimiter: str, columns: tuple[int, int],
-            vocab: Vocabulary) -> Iterator[Records]:
-    """Tokenize a text stream into runs of records, keeping two columns.
-
-    The byte tokenizer reads each piece it can read exactly, labelling it
-    through ``vocab`` when that knows all its fields; csv.reader reads the
-    others, and with them any piece that a quoted field of theirs runs into.
-    """
+def records(stream: IO, delimiter: str, columns: tuple[int, int], vocab: Vocabulary,
+            skip: int = 0) -> Iterator[Records]:
+    """Tokenize a text stream into runs of records, keeping two columns
+    labelled through ``vocab``, past ``skip`` header records. The byte
+    tokenizer reads each piece it can read exactly; csv.reader reads the
+    others, and any piece that a quoted field of theirs runs into. The runs
+    end at the first record that cannot be read."""
     limit = csv.field_size_limit()
     pieces = _pieces(stream)
     for piece in pieces:
         if _byte_tokenizable(piece, delimiter):
-            yield _byte_records(piece, delimiter, columns, limit, vocab)
-            continue
-        for run in _csv_records(_csv_rows(piece, pieces, delimiter), columns):
+            runs = [_byte_records(piece, delimiter, columns, limit, vocab, skip)]
+        else:
+            runs = _csv_records(_csv_rows(piece, pieces, delimiter), columns, vocab, skip)
+        for run in runs:
             yield run
+            skip -= run.skipped
             if run.error is not None:
                 return
 
 
-def check_rows(widths: np.ndarray, codes: np.ndarray, ids: list[str], needed: int,
-                line: int) -> None:
-    """Raise for the first record with too few fields or an empty ID."""
-    empty = ids.index("") if "" in ids else -1
+def check_rows(widths: np.ndarray, labels: np.ndarray, empty: int, needed: int,
+               line: int) -> None:
+    """Raise for the first record with too few fields or an empty ID, whose
+    label is ``empty`` (-1 if no ID is empty)."""
     short = widths < needed
-    bad = np.flatnonzero(short | (codes[0::2] == empty) | (codes[1::2] == empty))
-    if bad.size:
-        r = int(bad[0])
+    bad = short | (labels[0::2] == empty) | (labels[1::2] == empty) if empty >= 0 else short
+    if bad.any():
+        r = int(bad.argmax())
         if short[r]:
             raise TraceParseError(f"expected at least {needed} columns, got {widths[r]}",
                                   line=line + r)

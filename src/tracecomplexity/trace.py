@@ -162,27 +162,24 @@ def parse_trace(stream: IO, fmt: CsvFormat = CsvFormat(), name: str = "trace") -
     if isinstance(stream, (io.RawIOBase, io.BufferedIOBase)) or "b" in getattr(stream, "mode", ""):
         stream = io.TextIOWrapper(stream, encoding="utf-8")
     needed = max(fmt.source_column, fmt.dest_column) + 1
-    skip = fmt.skip_rows
     vocab = Vocabulary()
     batches = []
     line = 1  # number of the next record
-    for run in records(stream, fmt.delimiter, (fmt.source_column, fmt.dest_column), vocab):
-        drop = min(skip, run.widths.size)
-        skip -= drop
-        widths, codes = run.widths[drop:], run.codes[2 * drop:]
-        if run.ids is not None:  # labelled runs hold only complete records of known IDs
-            check_rows(widths, codes, run.ids, needed, line + drop)
+    for run in records(stream, fmt.delimiter, (fmt.source_column, fmt.dest_column), vocab,
+                       fmt.skip_rows):
+        line += run.skipped
+        check_rows(run.widths, run.labels, vocab.mapping.get("", -1), needed, line)
         line += run.widths.size
         if run.error is not None:
             raise TraceParseError(run.error, line=line)
-        if widths.size:
-            batches.append(codes if run.ids is None else vocab.relabel(codes, run.ids, run.words))
+        if run.widths.size:
+            batches.append(run.labels)
     if not batches:
         raise EmptyTraceError("no entries parsed from input")
     # Each batch holds its records' source and destination, interleaved.
-    # The relabeled IDs are 0..n-1 and each occurs, so an ID is its own
-    # rank. Codes and column masks are formed a batch at a time, and each
-    # batch is dropped once its codes are.
+    # The labels are 0..n-1 and each occurs, so an ID is its own rank.
+    # Codes and column masks are formed a batch at a time, and each batch
+    # is dropped once its codes are.
     n = len(vocab.mapping)
     in_source, in_dest = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
     codes = np.empty(sum(ids.size for ids in batches) // 2, dtype=_code_word(n))

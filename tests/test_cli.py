@@ -7,6 +7,7 @@ and short traces; numeric fidelity at scale is the acceptance suite's job.
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import tracemalloc
@@ -428,12 +429,16 @@ class TestMapCommand:
 
     @pytest.mark.parametrize("key, value", [("schema", "trace-complexity-report/1"),
                                             ("compressor", {}),
-                                            ("compressor", {"name": "zstd", "level": 99})],
+                                            ("compressor", {"name": "zstd", "level": 99}),
+                                            ("point.uniform_mode", 7),
+                                            ("point.warnings", "ab")],
                              ids=["old-schema", "compressor-without-name",
-                                  "unknown-compressor"])
+                                  "unknown-compressor", "uniform-mode-number",
+                                  "warnings-string"])
     def test_bad_report_named(self, report_file, tmp_path, capsys, key, value):
         doc = json.loads(report_file.read_text())
-        doc[key] = value
+        *outer, inner = key.split(".")
+        functools.reduce(dict.__getitem__, outer, doc)[inner] = value
         old = tmp_path / "old.json"
         old.write_text(json.dumps(doc))
         assert main(["map", str(report_file), str(old),

@@ -6,7 +6,10 @@ bisection before being frozen here.
 
 from __future__ import annotations
 
+import csv
+import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,6 +62,38 @@ class TestTrafficMatrix:
         assert [(i, j) for i, row in enumerate(rows) for j, v in enumerate(row)
                 if float(v) != 0.0] == [(0, 5)]
         assert float(rows[0][5]) == 1.0
+
+
+def oracle_dense_csv(grid: np.ndarray, path) -> None:
+    """The loop write_dense_csv replaced, kept as its reference."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        for row in grid:
+            w.writerow(map(repr, row.tolist()))
+
+
+class TestDenseCsvAgainstCsvWriter:
+    """write_dense_csv spells each distinct value of a row once; the bytes
+    are the csv.writer loop's whatever the values."""
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0,
+                                   0.1, 1 / 3]),
+                  st.floats(allow_nan=True, allow_infinity=True)),
+        min_size=n * n, max_size=n * n).map(lambda cells: np.array(cells).reshape(n, n))))
+    def test_same_bytes(self, tmp_path_factory, grid):
+        path = tmp_path_factory.mktemp("dense")
+        with mock.patch.object(TrafficMatrix, "to_dense", lambda self: grid):
+            assert zipf_matrix(2, 1.0).write_dense_csv(path / "new.csv") is grid
+        oracle_dense_csv(grid, path / "oracle.csv")
+        assert (path / "new.csv").read_bytes() == (path / "oracle.csv").read_bytes()
+
+    def test_empirical_matrix(self, tmp_path):
+        m = empirical_matrix(temporal_shuffle(generate(GeneratorSpec(
+            zipf_matrix(64, 1.0), 0.5, 20_000, RngSeed(3))), RngSeed(4)))
+        m.write_dense_csv(tmp_path / "new.csv")
+        oracle_dense_csv(m.to_dense(), tmp_path / "oracle.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 class TestNormalized:

@@ -203,10 +203,14 @@ def delimited_inputs(draw):
     return data, fmt
 
 
-#: IDs of one width each, for runs of rows with one layout: 7 bytes is the
-#: longest ID the vocabulary holds, and the 8-byte ones share their first 7.
+#: IDs of one width each, for runs of rows with one layout. A key word
+#: spells 7 bytes and a key three words, 21; the IDs of 8, 15 and 22 bytes
+#: share their first 7, 14 and 21, and the 22-byte ones a whole key.
 SAME_WIDTH = {1: ["4", "5", "a"], 2: ["b7", "c8", "4\x00", "\x004"],
-              7: ["abcdefg", "abcdefh", "1234567"], 8: ["abcdefgh", "abcdefgi", "12345678"]}
+              7: ["abcdefg", "abcdefh", "1234567"], 8: ["abcdefgh", "abcdefgi", "12345678"],
+              15: ["192.168.100.200", "192.168.100.201", "10.100.200.1:80"],
+              21: ["abcdefghijklmnopqrstu", "abcdefghijklmnopqrstv", "255.255.255.255:65535"],
+              22: ["abcdefghijklmnopqrstuv", "abcdefghijklmnopqrstuw", "1234567890123456789012"]}
 
 
 @st.composite
@@ -220,7 +224,10 @@ def plain_inputs(draw):
     ascii_space = st.sampled_from(["", "", " ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
                                    "\x1f"])
     ids = st.tuples(ascii_space, st.sampled_from(["4", "4\x00", "\x004", "b7", "abcdefg",
-                                                  "abcdefgh", "abcdefgi"]),
+                                                  "abcdefgh", "abcdefgi", "10.0.0.1",
+                                                  "10.0.0.12", "aa:bb:cc:dd:ee:ff",
+                                                  "abcdefghijklmnopqrstu", "abcdefghijklmnopqrstuv",
+                                                  "abcdefghijklmnopqrstuvwxyz0123"]),
                     ascii_space).map("".join)
     if draw(st.booleans()):
         ids = st.one_of(ids, st.just(""))
@@ -348,92 +355,133 @@ class TestAgainstCsvLoop:
 
 
 class TestReadingPaths:
-    """A piece whose fields the file's vocabulary all knows is labelled
-    without interning; only the pieces that bring IDs it cannot know yet
-    are interned, and only pieces of uneven layout are scanned for
-    separators."""
+    """Every field is looked up in the file's vocabulary by its key; only
+    the fields it does not know are read as text, and only pieces of uneven
+    layout are scanned for separators."""
 
     @staticmethod
     def parse_counting(path, fmt: CsvFormat = CsvFormat()):
-        """The outcome of loading ``path``, and how many pieces were
-        interned and how many scanned."""
-        with mock.patch.object(tokenizer, "_string_codes",
-                               wraps=tokenizer._string_codes) as interned, \
+        """The outcome of loading ``path``, the IDs read as text in each
+        piece, and how many pieces were scanned."""
+        read: list[list[str]] = []
+        real = tokenizer.Vocabulary.labels
+
+        def labels(vocab, keys, text):
+            piece: list[str] = []
+            read.append(piece)
+
+            def spy(fields):
+                ids = text(fields)
+                piece.extend(ids)
+                return ids
+            return real(vocab, keys, spy)
+        with mock.patch.object(tokenizer.Vocabulary, "labels", labels), \
                 mock.patch.object(tokenizer, "_scanned_fields",
                                   wraps=tokenizer._scanned_fields) as scanned:
             got = outcome(parse_trace, path.read_text(), fmt)
-        return got, interned.call_count, scanned.call_count
+        return got, read, scanned.call_count
 
     @staticmethod
-    def pieces_with_new_ids(path) -> tuple[int, int]:
-        """How many pieces the file is read in, and how many of them hold a
-        first-column or second-column ID that no earlier piece held."""
+    def new_ids(path) -> list[list[str]]:
+        """For each piece the file is read in, its IDs that no earlier piece
+        held, in the order they first occur: source before destination."""
         seen: set[str] = set()
-        pieces = new = 0
+        new = []
         with open(path, newline="") as fh:
             for piece in tokenizer._pieces(fh):
-                ids = {field for line in piece.splitlines() for field in line.split(",")[:2]}
-                pieces += 1
-                new += not ids <= seen
-                seen |= ids
-        return pieces, new
+                fields = [f for line in piece.splitlines() for f in line.split(",")[:2]]
+                new.append(list(dict.fromkeys(f for f in fields if f not in seen)))
+                seen.update(fields)
+        return new
 
-    def test_write_trace_file_interned_only_for_new_ids(self, tmp_path):
+    def test_write_trace_file_read_as_text_only_for_new_ids(self, tmp_path):
         rng = np.random.default_rng(5)
         src, dst = rng.integers(0, 40, 200_000), rng.integers(0, 40, 200_000)
         src[120_000], dst[170_000] = 41, 42  # IDs first met in later pieces
         path = tmp_path / "t.csv"
         write_trace(Trace.from_arrays(src, dst), path)
-        got, interned, scanned = self.parse_counting(path)
-        pieces, new = self.pieces_with_new_ids(path)
-        assert (interned, scanned) == (new, 0)
-        assert new == 3 and pieces > 10
+        got, read, scanned = self.parse_counting(path)
+        new = self.new_ids(path)
+        assert (read, scanned) == (new, 0)
+        assert sum(map(bool, new)) == 3 and len(new) > 10
         assert got == outcome(oracle_parse, path.read_text(), CsvFormat())
 
-    def test_ten_byte_ids_interned_in_every_piece(self, tmp_path):
-        """The vocabulary holds IDs of at most 7 bytes, one 64-bit word."""
+    @pytest.mark.parametrize("names", [
+        [f"host{i:06d}" for i in range(30)],
+        [f"10.{i}.{7 * i % 256}.{i + 100}" for i in range(30)],  # 10 to 14 bytes
+        [f"192.168.{i + 100}.{255 - i}" for i in range(30)],      # 15 bytes
+        [f"02:00:5e:{i:02x}:{i:02x}:{i:02x}:7" for i in range(30)],  # 19 bytes
+        [f"{i:021d}" for i in range(30)],
+    ], ids=["ten-bytes", "dotted", "dotted-15-bytes", "mac-like", "twenty-one-bytes"])
+    def test_long_ids_found_by_key_after_their_first_piece(self, tmp_path, names):
+        """An ID of up to three words, 21 bytes, is learned when first met."""
         rng = np.random.default_rng(6)
-        names = [f"host{i:06d}" for i in range(30)]
         path = tmp_path / "t.csv"
         path.write_text("".join(f"{names[s]},{names[d]}\n"
                                 for s, d in rng.integers(0, 30, (20_000, 2))))
-        got, interned, scanned = self.parse_counting(path)
-        pieces, _ = self.pieces_with_new_ids(path)
-        assert (interned, scanned) == (pieces, 0) and pieces > 3
+        got, read, _ = self.parse_counting(path)
+        assert read == self.new_ids(path) and len(read) > 3
+        assert read[0] and not any(read[1:])
+        assert got == outcome(oracle_parse, path.read_text(), CsvFormat())
+
+    @pytest.mark.parametrize("width", [22, 30])
+    def test_ids_past_three_words_read_as_text_in_every_piece(self, tmp_path, width):
+        """The key of an ID over 21 bytes holds only its first 21, so each
+        of its fields is read, in every piece; these share their first 21."""
+        rng = np.random.default_rng(width)
+        names = ["x" * 21 + f"{i:0{width - 21}d}" for i in range(30)]
+        path = tmp_path / "t.csv"
+        pairs = rng.integers(0, 30, (5_000, 2))
+        path.write_text("".join(f"{names[s]},{names[d]}\n" for s, d in pairs))
+        got, read, _ = self.parse_counting(path)
+        assert [name for piece in read for name in piece] == [names[i] for i in pairs.ravel()]
+        assert len(read) > 3
         assert got == outcome(oracle_parse, path.read_text(), CsvFormat())
 
     @pytest.mark.parametrize("limit", [0, 3, 5])
     def test_vocabulary_full(self, tmp_path, limit):
-        """Past its limit the vocabulary learns no more IDs, and a piece
-        holding one of those is interned each time."""
+        """Past its limit the vocabulary learns no more IDs, and each piece
+        reads those it holds once more as text."""
         rng = np.random.default_rng(limit)
         path = tmp_path / "t.csv"
         path.write_text("".join(f"{s},{d}\n" for s, d in rng.integers(10, 20, (300, 2))))
         with mock.patch.object(tokenizer, "_CHUNK", 60), \
                 mock.patch.object(tokenizer, "_VOCABULARY_LIMIT", limit):
-            got, interned, _ = self.parse_counting(path)
-            pieces, _ = self.pieces_with_new_ids(path)
+            got, read, _ = self.parse_counting(path)
+            new = self.new_ids(path)
+            with open(path, newline="") as fh:
+                held = [dict.fromkeys(f for line in piece.splitlines() for f in line.split(","))
+                        for piece in tokenizer._pieces(fh)]
         assert got == outcome(oracle_parse, path.read_text(), CsvFormat())
-        assert interned == pieces > 20
+        learned = [i for piece in new for i in piece][:limit]
+        for k, piece in enumerate(held):
+            known = {i for earlier in new[:k] for i in earlier} & set(learned)
+            assert read[k] == [i for i in piece if i not in known]
+        assert len(read) > 20
 
     def test_words_sharing_a_home_slot(self, tmp_path):
-        """With a multiplier of 1 every word of one length has the same home
-        slot, so a lookup walks one probe chain as long as the IDs are many."""
+        """When every key has the same home slot, a lookup walks one probe
+        chain as long as the IDs are many, and a key it does not hold walks
+        all of it. The first piece is looked up once its first unknown
+        fields have taught the vocabulary their IDs."""
         rng = np.random.default_rng(7)
+        pairs = rng.integers(10, 50, (40_000, 2))
+        pairs[35_000, 1] = 99  # an ID first met in the last piece
         path = tmp_path / "t.csv"
-        path.write_text("".join(f"{s},{d}\n" for s, d in rng.integers(10, 50, (40_000, 2))))
+        path.write_text("".join(f"{s},{d}\n" for s, d in pairs))
         real = tokenizer.Vocabulary.lookup
         looked_up = []
 
-        def lookup(vocab, words):
-            labels = real(vocab, words)
-            looked_up.append((vocab._probes, labels is not None))
-            return labels
-        with mock.patch.object(tokenizer, "_MULTIPLIER", np.uint64(1)), \
+        def lookup(vocab, keys):
+            labels, missed = real(vocab, keys)
+            looked_up.append((vocab._probes, missed.size))
+            return labels, missed
+        with mock.patch.object(tokenizer.Vocabulary, "_home",
+                               lambda vocab, keys: np.zeros(keys.shape[1], np.int64)), \
                 mock.patch.object(tokenizer.Vocabulary, "lookup", lookup):
-            got, interned, scanned = self.parse_counting(path)
-        assert looked_up == [(1, False), (40, True), (40, True), (40, True)]
-        assert (interned, scanned) == (1, 0)
+            got, read, scanned = self.parse_counting(path)
+        assert looked_up == [(40, 0), (40, 0), (40, 0), (40, 1)]
+        assert [len(piece) for piece in read] == [40, 0, 0, 1] and scanned == 0
         assert got == outcome(oracle_parse, path.read_text(), CsvFormat())
 
     @pytest.mark.parametrize("text", [
