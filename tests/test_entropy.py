@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tracecomplexity import (GeneratorSpec, RngSeed, SolverError, Trace, TrafficMatrix,
@@ -81,6 +81,8 @@ class TestDenseCsvAgainstCsvWriter:
                                    0.1, 1 / 3]),
                   st.floats(allow_nan=True, allow_infinity=True)),
         min_size=n * n, max_size=n * n).map(lambda cells: np.array(cells).reshape(n, n))))
+    @example(grid=np.array([[0.0, -0.0], [math.nan, -0.0]]))
+    @example(grid=np.array([[-0.0]]))
     def test_same_bytes(self, tmp_path_factory, grid):
         path = tmp_path_factory.mktemp("dense")
         with mock.patch.object(TrafficMatrix, "to_dense", lambda self: grid):
