@@ -56,8 +56,7 @@ _TOP = np.array([k << 56 for k in range(9)], dtype=np.uint64)
 _MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 #: A word no field has: a word's top byte is a count of at most 8.
 _NO_WORD = np.uint64(2 ** 64 - 1)
-#: Unknown fields of a piece read and learned before the others are looked
-#: up again.
+#: Unknown fields of a piece read and learned before the rest are looked up.
 _FEW_MISSES = 1 << 10
 #: IDs a vocabulary learns at most, so its table stays below 1 MB. A file
 #: with more IDs brings new ones in most pieces, which are read as text.
@@ -99,10 +98,9 @@ class Vocabulary:
         self._probes = 1  # slots a stored key may be looked for in
 
     def _home(self, keys: np.ndarray) -> np.ndarray:
-        """Each key's first slot: the top bits of the product with the
-        multiplier of its words weighted by the multiplier's powers. A word
-        past an ID's end is 0 and adds nothing, so a key hashes alike
-        however many of its words are read."""
+        """Each key's first slot: the top bits of its words, weighted by
+        powers of the multiplier, times the multiplier. A word past an ID's
+        end is 0, so a key hashes alike however many of its words are read."""
         bits = self._slots.size.bit_length() - 1
         home = keys[-1]
         for words in keys[-2::-1]:
@@ -121,6 +119,8 @@ class Vocabulary:
     def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The label of each column of ``keys``, -1 where it is unknown, and
         the columns where it is."""
+        if not self._stored:
+            return np.full(keys.shape[1], -1, np.int32), np.arange(keys.shape[1])
         home = self._home(keys)
         labels = self._slots.take(home)
         missed = probing = np.flatnonzero(self._differs(labels, keys))
@@ -143,10 +143,7 @@ class Vocabulary:
         through ``mapping``. Equal keys that spell their ID whole (see
         ``_words``) are read once and learned; a longer ID is read at each.
         """
-        if self._stored:
-            labels, missed = self.lookup(keys)
-        else:
-            labels, missed = np.full(keys.shape[1], -1, np.int32), np.arange(keys.shape[1])
+        labels, missed = self.lookup(keys)
         while missed.size:
             # Many unknown fields mostly repeat a few new IDs: learn those of
             # the first ones, then look the others up again.
@@ -451,8 +448,10 @@ def check_rows(widths: np.ndarray, labels: np.ndarray, empty: int, needed: int,
                line: int) -> None:
     """Raise for the first record with too few fields or an empty ID, whose
     label is ``empty`` (-1 if no ID is empty)."""
+    if empty < 0 and widths.min(initial=needed) >= needed:
+        return
     short = widths < needed
-    bad = short | (labels[0::2] == empty) | (labels[1::2] == empty) if empty >= 0 else short
+    bad = short | (labels[0::2] == empty) | (labels[1::2] == empty)
     if bad.any():
         r = int(bad.argmax())
         if short[r]:

@@ -45,7 +45,9 @@ class RngSeed:
 
 def temporal_shuffle(trace: Trace, seed: RngSeed) -> Trace:
     """Uniform random permutation of the rows; the pair multiset is untouched."""
-    return Trace(seed.generator().permutation(trace.codes), trace.id_space, trace.name)
+    rng = seed.generator()
+    perm = rng.permutation(len(trace))
+    return Trace(trace.codes[perm], trace.id_space, trace.name)
 
 
 UNIFORM_MODES = ("pair", "columnwise", "single")

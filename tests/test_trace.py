@@ -462,7 +462,7 @@ class TestReadingPaths:
     def test_words_sharing_a_home_slot(self, tmp_path):
         """When every key has the same home slot, a lookup walks one probe
         chain as long as the IDs are many, and a key it does not hold walks
-        all of it. The first piece is looked up once its first unknown
+        all of it. The first piece is looked up again once its first unknown
         fields have taught the vocabulary their IDs."""
         rng = np.random.default_rng(7)
         pairs = rng.integers(10, 50, (40_000, 2))
@@ -480,7 +480,8 @@ class TestReadingPaths:
                                lambda vocab, keys: np.zeros(keys.shape[1], np.int64)), \
                 mock.patch.object(tokenizer.Vocabulary, "lookup", lookup):
             got, read, scanned = self.parse_counting(path)
-        assert looked_up == [(40, 0), (40, 0), (40, 0), (40, 1)]
+        rows = tokenizer._CHUNK // len("10,49\n")  # of a piece
+        assert looked_up == [(1, 2 * rows), (40, 0), (40, 0), (40, 0), (40, 1)]
         assert [len(piece) for piece in read] == [40, 0, 0, 1] and scanned == 0
         assert got == outcome(oracle_parse, path.read_text(), CsvFormat())
 

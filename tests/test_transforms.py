@@ -74,17 +74,6 @@ class TestTemporalShuffle:
         sh = temporal_shuffle(uniform_trace, RngSeed(4))
         assert sh.id_space is uniform_trace.id_space
 
-    @pytest.mark.parametrize("n", [16, 256, 257])  # uint8, uint16 and uint32 codes
-    @pytest.mark.parametrize("length", [1, 2, 17, 50_000, 100_001])
-    def test_same_as_gathering_through_a_permutation(self, n, length):
-        """Permuting the codes draws what permuting their indices did."""
-        rng = np.random.default_rng(length)
-        tr = Trace.from_arrays(rng.integers(0, n, length), rng.integers(0, n, length))
-        seed = RngSeed(length, (n,))
-        gathered = tr.codes[seed.generator().permutation(len(tr))]
-        shuffled = temporal_shuffle(tr, seed).codes
-        assert shuffled.dtype == tr.codes.dtype and np.array_equal(shuffled, gathered)
-
     @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)),
                     min_size=1, max_size=40),
            st.integers(0, 2 ** 32))
