@@ -286,10 +286,10 @@ def _fixed_fields(piece: str, word: np.ndarray, buf: np.ndarray, delimiter: str,
     lengths = [ends[column] - opens[column] for column in columns]
     if min(lengths) == 0:
         return None
-    keys = np.zeros((_depth(max(lengths)), 2 * rows), np.uint64)
+    keys = np.empty((_depth(max(lengths)), 2 * rows), np.uint64)
     for k, (start, length) in enumerate(zip(starts, lengths)):
-        for j, out in enumerate(keys[:_depth(length), k::2]):
-            left = min(length - 7 * j, 8)
+        for j, out in enumerate(keys[:, k::2]):
+            left = min(max(length - 7 * j, 0), 8)  # 0 past the field's end
             np.bitwise_and(word[start + 7 * j::line][:rows], _LOW[left], out=out)
             out |= _TOP[left]
 
