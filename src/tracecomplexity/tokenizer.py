@@ -163,10 +163,11 @@ class Vocabulary:
             found[order] = found[first][np.cumsum(run) - 1]
             labels[fields] = found
             learn = np.sort(first)[:_VOCABULARY_LIMIT - self._stored]
-            self._learn(found[learn], known[:, learn])
-            if learn.size and missed.size:
-                labels[missed], unknown = self.lookup(keys[:, missed])
-                missed = missed[unknown]
+            if learn.size:
+                self._learn(found[learn], known[:, learn])
+                if missed.size:
+                    labels[missed], unknown = self.lookup(keys[:, missed])
+                    missed = missed[unknown]
         return labels
 
     def _learn(self, labels: np.ndarray, keys: np.ndarray) -> None:
@@ -230,15 +231,15 @@ def _byte_tokenizable(piece: str, delimiter: str) -> bool:
             and len(delimiter) == 1 and delimiter.isascii() and delimiter not in '"\r\n')
 
 
-def _words(word: np.ndarray, starts: np.ndarray, lengths: np.ndarray, depth: int) -> np.ndarray:
-    """The key of each string data[s:s+n]: its first ``depth`` words, one
-    row each. Word j holds the string's bytes 7j to 7j+6, topped by a byte
-    saying how many it has from 7j on (at most 8), so "4" and "4\\x00"
-    differ, and is 0 past its end. The key spells a string of at most
-    7·depth bytes whole: its last word's top byte is under 8. ``word`` holds
-    the 8 bytes at each offset of data.
+def _words(word: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The key of each string data[s:s+n]: its first words, one row each,
+    as many as the longest string needs (see ``_depth``). Word j holds the
+    string's bytes 7j to 7j+6, topped by a byte saying how many it has from
+    7j on (at most 8), so "4" and "4\\x00" differ, and is 0 past its end.
+    A key spells a string whole if its last word's top byte is under 8.
+    ``word`` holds the 8 bytes at each offset of data.
     """
-    offsets = 7 * np.arange(depth)[:, None]
+    offsets = 7 * np.arange(_depth(int(lengths.max(initial=0))))[:, None]
     left = np.clip(lengths - offsets, 0, 8)
     keys = word.take(starts + offsets)
     keys &= _LOW.take(left)
@@ -352,8 +353,7 @@ def _byte_records(piece: str, delimiter: str, columns: tuple[int, int], limit: i
                 starts += lead
             while (trail := (stops > starts) & _SPACE[buf[stops - 1]]).any():
                 stops -= trail
-        lengths = stops - starts
-        keys = _words(word, starts, lengths, _depth(int(lengths.max(initial=0))))
+        keys = _words(word, starts, stops - starts)
         fields = widths, keys, lambda field: (starts[field], stops[field])
     widths, keys, bounds = fields
     drop = min(skip, widths.size)
